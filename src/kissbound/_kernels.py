@@ -1,4 +1,13 @@
-"""Vectorized numpy kernels behind the certifier and the property tests.
+"""Vectorized numpy kernels: the single implementation of the box bound.
+
+Both the coordinate path (the `Box` API, `density_vec` and the property
+tests) and the certifier's grid scan evaluate the spherical law of
+cosines, the 2x + y + z vs pi corner rule, the lower-corner area and the
+final quotient here.  The kernels see corner coordinates only through
+providers: `pair(u, v)` returns cos and sin of the side u + v, `coord(u)`
+the cap radius and `k_of(u)` the cap area K at u.  The defaults compute
+all three from radii; the grid scan passes grid indices with table
+lookups, so both paths share every expression and its evaluation order.
 
 These mirror the scalar formulas in `caps` exactly (same expressions, same
 evaluation order) so that scalar and vector paths produce identical IEEE
@@ -9,6 +18,7 @@ area lower bounds degrade to NaN, which the box bound turns into +inf.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,20 +31,30 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 
+def _trig_of_sum(u, v):
+    """cos and sin of the triangle side u + v, for cap radii u and v."""
+    side = np.add(u, v, dtype=np.float64)
+    return np.cos(side), np.sin(side)
+
+
+def _radius(u):
+    return np.asarray(u, dtype=np.float64)
+
+
 def _angle_arg(cos_opp, cos_s2, cos_s3, sin_s2, sin_s3):
     return (cos_opp - cos_s2 * cos_s3) / (sin_s2 * sin_s3)
 
 
-def triangle_angles_vec(x, y, z):
+def triangle_angles_vec(x, y, z, pair=_trig_of_sum):
     """Vertex angles of the tangent-cap triangle with radii (x, y, z).
 
     Arguments are clipped into [-1, 1]; entries whose raw argument lies
     beyond the guard are reported through the validity mask (second return
     value) instead of being silently repaired.
     """
-    cos_yz, sin_yz = np.cos(y + z), np.sin(y + z)
-    cos_xz, sin_xz = np.cos(x + z), np.sin(x + z)
-    cos_xy, sin_xy = np.cos(x + y), np.sin(x + y)
+    cos_yz, sin_yz = pair(y, z)
+    cos_xz, sin_xz = pair(x, z)
+    cos_xy, sin_xy = pair(x, y)
     arg_x = _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy)
     arg_y = _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz)
     arg_z = _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz)
@@ -49,11 +69,14 @@ def triangle_angles_vec(x, y, z):
     return (ax, ay, az), valid
 
 
-def triangle_excess_vec(x, y, z):
+def _excess(angles, valid):
+    ax, ay, az = angles
+    return np.where(valid, ax + ay + az - PI, np.nan)
+
+
+def triangle_excess_vec(x, y, z, pair=_trig_of_sum):
     """Angular excess (triangle area); NaN where the geometry is invalid."""
-    (ax, ay, az), valid = triangle_angles_vec(x, y, z)
-    excess = ax + ay + az - PI
-    return np.where(valid, excess, np.nan)
+    return _excess(*triangle_angles_vec(x, y, z, pair))
 
 
 def K_vec(geom: RhoGeometry, alpha):
@@ -71,28 +94,31 @@ def density_vec(geom: RhoGeometry, x, y, z):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    area = triangle_excess_vec(x, y, z)
-    (ax, ay, az), _ = triangle_angles_vec(x, y, z)
+    angles, valid = triangle_angles_vec(x, y, z)
+    area = _excess(angles, valid)
+    ax, ay, az = angles
     num = K_vec(geom, x) * ax + K_vec(geom, y) * ay + K_vec(geom, z) * az
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(area > 0.0, num / (TWO_PI * area), np.nan)
 
 
-def angle_upper_at(x, y, z):
+def angle_upper_at(x, y, z, pair=_trig_of_sum):
     """Vertex angle at the cap of radius x, conservative for broken input.
 
     Used only for angle upper bounds: any argument beyond the guard maps
     to the worst case pi, arguments below -1 clip to pi as well.
     """
-    cos_yz = np.cos(y + z)
-    cos_xz, sin_xz = np.cos(x + z), np.sin(x + z)
-    cos_xy, sin_xy = np.cos(x + y), np.sin(x + y)
+    cos_yz, _ = pair(y, z)
+    cos_xz, sin_xz = pair(x, z)
+    cos_xy, sin_xy = pair(x, y)
     arg = _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy)
     angle = np.arccos(np.clip(arg, -1.0, 1.0))
     return np.where(arg > 1.0 + ANGLE_GUARD, PI, angle)
 
 
-def axis_angle_upper_vec(lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2):
+def axis_angle_upper_vec(
+    lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2, pair=_trig_of_sum, coord=_radius
+):
     """Upper bound on the vertex angle at the `own` axis over the box.
 
     With 2x + y + z <= pi throughout the box the angle at x is decreasing
@@ -100,10 +126,10 @@ def axis_angle_upper_vec(lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2):
     high); with 2x + y + z >= pi throughout it sits at the all-high
     corner; otherwise both corners are evaluated and the larger is taken.
     """
-    s_lo = 2.0 * lo_own + lo_o1 + lo_o2
-    s_hi = 2.0 * up_own + up_o1 + up_o2
-    low_corner = angle_upper_at(lo_own, up_o1, up_o2)
-    high_corner = angle_upper_at(up_own, up_o1, up_o2)
+    s_lo = 2.0 * coord(lo_own) + coord(lo_o1) + coord(lo_o2)
+    s_hi = 2.0 * coord(up_own) + coord(up_o1) + coord(up_o2)
+    low_corner = angle_upper_at(lo_own, up_o1, up_o2, pair)
+    high_corner = angle_upper_at(up_own, up_o1, up_o2, pair)
     return np.where(
         s_hi <= PI,
         low_corner,
@@ -111,7 +137,9 @@ def axis_angle_upper_vec(lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2):
     )
 
 
-def box_density_upper_vec(geom: RhoGeometry, a, b, c, ua, ub, uc):
+def box_density_upper_vec(
+    geom: RhoGeometry, a, b, c, ua, ub, uc, pair=_trig_of_sum, coord=_radius, k_of=None
+):
     """Upper bound on D over boxes [a,ua] x [b,ub] x [c,uc], vectorized.
 
     Corner rules: minimum area at the lower corner, maximum K at the upper
@@ -119,19 +147,13 @@ def box_density_upper_vec(geom: RhoGeometry, a, b, c, ua, ub, uc):
     the position of 2x + y + z relative to pi.  Boxes whose lower-corner
     area is not positive (or whose geometry is invalid) get +inf.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    ua = np.asarray(ua, dtype=np.float64)
-    ub = np.asarray(ub, dtype=np.float64)
-    uc = np.asarray(uc, dtype=np.float64)
+    k_of = k_of or functools.partial(K_vec, geom)
+    min_area = triangle_excess_vec(a, b, c, pair)
 
-    min_area = triangle_excess_vec(a, b, c)
+    ang_x = axis_angle_upper_vec(a, b, c, ua, ub, uc, pair, coord)
+    ang_y = axis_angle_upper_vec(b, a, c, ub, ua, uc, pair, coord)
+    ang_z = axis_angle_upper_vec(c, a, b, uc, ua, ub, pair, coord)
 
-    ang_x = axis_angle_upper_vec(a, b, c, ua, ub, uc)
-    ang_y = axis_angle_upper_vec(b, a, c, ub, ua, uc)
-    ang_z = axis_angle_upper_vec(c, a, b, uc, ua, ub)
-
-    num = K_vec(geom, ua) * ang_x + K_vec(geom, ub) * ang_y + K_vec(geom, uc) * ang_z
+    num = k_of(ua) * ang_x + k_of(ub) * ang_y + k_of(uc) * ang_z
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(min_area > 0.0, num / (TWO_PI * min_area), np.inf)

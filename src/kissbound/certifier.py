@@ -25,6 +25,7 @@ is not built.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
@@ -194,25 +195,24 @@ class _GridScan:
     """Precomputed tables for scanning one (rho, delta) grid.
 
     Grid edges g[0..n] tile [alpha_min, alpha_max] with g[n] clamped to
-    alpha_max; box (i, j, k) spans [g[i], g[i+1]] x ... Tables of
-    cos/sin over all pairwise edge sums turn each corner evaluation into
-    gathers plus one arccos.
+    alpha_max; box (i, j, k) spans [g[i], g[i+1]] x ... The shared box
+    kernel runs on grid indices: tables of cos/sin over all pairwise edge
+    sums and of K over the edges turn each lookup into a gather.
     """
 
     def __init__(self, geom: RhoGeometry, delta: float):
-        if delta <= 0.0:
-            raise DomainError(f"delta must be positive, got {delta!r}")
+        if not 0.0 < delta < math.inf:
+            raise DomainError(f"delta must be positive and finite, got {delta!r}")
         width = geom.interval_width
         n = int(math.ceil(width / delta - 1e-12))
         if n < 1:
             raise DomainError(f"delta {delta!r} leaves no boxes in the interval")
         self.geom = geom
-        self.delta = delta
         self.n = n
         g = geom.alpha_min + delta * np.arange(n + 1, dtype=np.float64)
         g[n] = geom.alpha_max
         self.g = g
-        self.k_up = np.asarray(_kernels.K_vec(geom, g[1:]), dtype=np.float64)
+        self.k_edge = np.asarray(_kernels.K_vec(geom, g), dtype=np.float64)
         sums = g[:, None] + g[None, :]
         self.cos_sum = np.cos(sums).ravel()
         self.sin_sum = np.sin(sums).ravel()
@@ -226,52 +226,12 @@ class _GridScan:
         flat = fi * self.stride + fj
         return self.cos_sum[flat], self.sin_sum[flat]
 
-    def _angle_arg(self, own, o1, o2):
-        cos_opp, _ = self._pair(o1, o2)
-        cos_s2, sin_s2 = self._pair(own, o2)
-        cos_s3, sin_s3 = self._pair(own, o1)
-        return (cos_opp - cos_s2 * cos_s3) / (sin_s2 * sin_s3)
-
-    def _angle_upper(self, own, o1, o2):
-        arg = self._angle_arg(own, o1, o2)
-        angle = np.arccos(np.clip(arg, -1.0, 1.0))
-        return np.where(arg > 1.0 + _kernels.ANGLE_GUARD, _kernels.PI, angle)
-
-    def _axis_angle_upper(self, lo_own, lo_o1, lo_o2):
-        g = self.g
-        s_lo = 2.0 * g[lo_own] + g[lo_o1] + g[lo_o2]
-        s_hi = 2.0 * g[lo_own + 1] + g[lo_o1 + 1] + g[lo_o2 + 1]
-        low_corner = self._angle_upper(lo_own, lo_o1 + 1, lo_o2 + 1)
-        high_corner = self._angle_upper(lo_own + 1, lo_o1 + 1, lo_o2 + 1)
-        return np.where(
-            s_hi <= _kernels.PI,
-            low_corner,
-            np.where(s_lo >= _kernels.PI, high_corner, np.maximum(low_corner, high_corner)),
-        )
-
     def _batch_bounds(self, i, j, k):
-        ii = np.full_like(j, i)
-        arg_x = self._angle_arg(ii, j, k)
-        arg_y = self._angle_arg(j, ii, k)
-        arg_z = self._angle_arg(k, ii, j)
-        valid = (
-            (np.abs(arg_x) <= 1.0 + _kernels.ANGLE_GUARD)
-            & (np.abs(arg_y) <= 1.0 + _kernels.ANGLE_GUARD)
-            & (np.abs(arg_z) <= 1.0 + _kernels.ANGLE_GUARD)
+        """Box bounds of boxes (i, j, k), given as grid indices."""
+        return _kernels.box_density_upper_vec(
+            self.geom, i, j, k, i + 1, j + 1, k + 1,
+            pair=self._pair, coord=self.g.__getitem__, k_of=self.k_edge.__getitem__,
         )
-        min_area = (
-            np.arccos(np.clip(arg_x, -1.0, 1.0))
-            + np.arccos(np.clip(arg_y, -1.0, 1.0))
-            + np.arccos(np.clip(arg_z, -1.0, 1.0))
-            - _kernels.PI
-        )
-        min_area = np.where(valid, min_area, np.nan)
-        ang_x = self._axis_angle_upper(ii, j, k)
-        ang_y = self._axis_angle_upper(j, ii, k)
-        ang_z = self._axis_angle_upper(k, ii, j)
-        num = self.k_up[ii] * ang_x + self.k_up[j] * ang_y + self.k_up[k] * ang_z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(min_area > 0.0, num / (_kernels.TWO_PI * min_area), np.inf)
 
     def slab_max(self, i: int):
         """Max bound over all boxes (i, j, k) with i <= j <= k.
@@ -313,12 +273,17 @@ def _scan_slab(i: int):
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """Worker count: the given one, else KISSBOUND_THREADS, else all cores."""
     if workers is None:
         env = os.environ.get("KISSBOUND_THREADS")
-        if env:
+        if not env:
+            return os.cpu_count() or 1
+        try:
             workers = int(env)
-        else:
-            workers = os.cpu_count() or 1
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise DomainError(f"KISSBOUND_THREADS must be a positive integer, got {env!r}")
     if workers < 1:
         raise DomainError(f"worker count must be positive, got {workers!r}")
     return workers
@@ -386,10 +351,10 @@ def certify(
     Returns the Certificate; passed is True iff
     max_box_bound * objective_factor(rho) * (1 + fp_slack) < target.
     """
-    if target <= 0.0:
-        raise DomainError(f"target must be positive, got {target!r}")
-    if fp_slack < 0.0:
-        raise DomainError(f"fp_slack must be non-negative, got {fp_slack!r}")
+    if not 0.0 < target < math.inf:
+        raise DomainError(f"target must be positive and finite, got {target!r}")
+    if not 0.0 <= fp_slack < math.inf:
+        raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
     geom = rho_geometry(rho)
     scan = _GridScan(geom, delta)
     n = scan.n
@@ -406,11 +371,16 @@ def certify(
     global _SCAN_STATE
     _SCAN_STATE = scan
     since_checkpoint = 0
+    slabs = range(start_slab, n)
     try:
-        if workers == 1 or start_slab >= n:
-            results = map(_scan_slab, range(start_slab, n))
-            iterator = zip(range(start_slab, n), results)
-            for i, (value, count, idx) in iterator:
+        with contextlib.ExitStack() as stack:
+            if workers == 1 or not slabs:
+                results = map(_scan_slab, slabs)
+            else:
+                ctx = multiprocessing.get_context("fork")
+                pool = stack.enter_context(ctx.Pool(processes=workers))
+                results = pool.imap(_scan_slab, slabs, chunksize=4)
+            for i, (value, count, idx) in zip(slabs, results):
                 if value > max_so_far:
                     max_so_far = value
                     argmax = idx
@@ -423,23 +393,6 @@ def certify(
                     since_checkpoint = 0
                 if on_progress is not None:
                     on_progress(boxes_done, total)
-        else:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                results = pool.imap(_scan_slab, range(start_slab, n), chunksize=4)
-                for i, (value, count, idx) in zip(range(start_slab, n), results):
-                    if value > max_so_far:
-                        max_so_far = value
-                        argmax = idx
-                    boxes_done += count
-                    since_checkpoint += count
-                    if checkpoint_path and since_checkpoint >= checkpoint_every:
-                        _write_checkpoint(
-                            checkpoint_path, params, i + 1, boxes_done, max_so_far, argmax
-                        )
-                        since_checkpoint = 0
-                    if on_progress is not None:
-                        on_progress(boxes_done, total)
     finally:
         _SCAN_STATE = None
 
@@ -464,16 +417,3 @@ def certify(
         os.remove(checkpoint_path)
     return cert
 
-
-def argmax_box(rho: float, delta: float) -> Box:
-    """Box attaining the maximum bound; convenience for diagnostics."""
-    geom = rho_geometry(rho)
-    scan = _GridScan(geom, delta)
-    best = (-math.inf, (0, 0, 0))
-    for i in range(scan.n):
-        value, _, idx = scan.slab_max(i)
-        if value > best[0]:
-            best = (value, idx)
-    i, j, k = best[1]
-    g = scan.g
-    return Box(a=float(g[i]), b=float(g[j]), c=float(g[k]), delta=delta)

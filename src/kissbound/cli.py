@@ -13,7 +13,7 @@ Every artifact is accompanied by a JSON metadata sidecar (command line,
 configuration echo, version, wall time, output checksum); metadata never
 enters the artifact itself, so artifacts are byte-identical across runs.
 The only environment variable consulted is KISSBOUND_THREADS for the
-default worker count.
+default worker count of optimize and certify; an invalid value exits 2.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import sys
 import time
 
 from . import __version__
-from .certifier import certify, emit_certificate
-from .density import SearchConfig, default_workers, sweep_rho, sweep_to_csv
+from .certifier import _resolve_workers, certify, emit_certificate
+from .density import SearchConfig, sweep_rho, sweep_to_csv
 from .errors import DomainError, KissboundError, PackingError
 from .highdim import a_of_d, k_bound_highdim
 from .packings import audit_to_csv, contact_graph, coverage_audit, load_packing
@@ -83,6 +83,14 @@ def _write_sidecar(path: str, metadata: dict) -> None:
         fh.write("\n")
 
 
+def _resolve_worker_arg(args: argparse.Namespace) -> None:
+    """Resolve --workers in place, so the sidecar records the count used."""
+    try:
+        args.workers = _resolve_workers(args.workers)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _round_up(value: float, decimals: int) -> float:
     factor = 10.0**decimals
     return math.ceil(value * factor) / factor
@@ -119,6 +127,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     if args.step <= 0.0:
         raise _UsageError(f"step must be positive, got {args.step:g}")
+    _resolve_worker_arg(args)
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
     results = sweep_rho(
         args.rho_lo,
@@ -150,6 +159,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     started = time.time()
+    _resolve_worker_arg(args)
     last = [0.0]
 
     def progress(done: int, total: int) -> None:
@@ -265,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip ratios whose equilateral lower bound reaches this value",
     )
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_optimize)
 
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=DEFAULTS["delta"])
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--fp-slack", type=float, default=DEFAULTS["fp_slack"])
-    p.add_argument("--workers", type=int, default=default_workers())
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resuming")
     p.add_argument("--output", default="certificate.txt")
     p.add_argument("--progress", action="store_true")

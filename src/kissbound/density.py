@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .caps import RhoGeometry, TriangleAngles, cap_area_K, rho_geometry, triangle_angles
-from .certifier import objective_factor
+from .certifier import _resolve_workers, objective_factor
 from .errors import DegenerateTriangleError, DomainError, KissboundError
 
 __all__ = [
@@ -312,30 +311,25 @@ def sweep_rho(
     step: float,
     cfg: SearchConfig | None = None,
     prune_threshold: float | None = None,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> list[SweepResult]:
     """Maximize D on a grid of inflation ratios.
 
     Results come back in grid order and are identical for any worker
-    count.  With prune_threshold set, ratios whose equilateral lower
-    bound already reaches the threshold are skipped (marked pruned)
-    instead of searched; without it the full interval is searched.
+    count (None: KISSBOUND_THREADS, else all cores).  With
+    prune_threshold set, ratios whose equilateral lower bound already
+    reaches the threshold are skipped (marked pruned) instead of
+    searched; without it the full interval is searched.
     """
     cfg = cfg or SearchConfig()
     grid = _rho_grid(rho_lo, rho_hi, step)
     jobs = [(rho, cfg, prune_threshold) for rho in grid]
-    if workers <= 1 or len(jobs) == 1:
+    workers = _resolve_workers(workers)
+    if workers == 1 or len(jobs) == 1:
         return [_sweep_one(job) for job in jobs]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         return list(pool.imap(_sweep_one, jobs, chunksize=1))
-
-
-def default_workers() -> int:
-    env = os.environ.get("KISSBOUND_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 SWEEP_CSV_HEADER = "rho,max_density,x,y,z,objective"

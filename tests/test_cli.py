@@ -46,6 +46,12 @@ class TestHighdim:
         bound = float(out.strip().split("\n")[1].split(",")[3])
         assert bound > 34.681
 
+    def test_ignores_invalid_thread_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("KISSBOUND_THREADS", "abc")
+        code, out, _ = run(capsys, "highdim", "--d", "4")
+        assert code == 0
+        assert "34.681" in out
+
     def test_metadata_on_stderr(self, capsys):
         _, _, err = run(capsys, "highdim", "--d", "3")
         meta = json.loads(err.strip().split("\n")[-1])
@@ -103,6 +109,20 @@ class TestOptimize:
         assert lines[0] == "rho,max_density,x,y,z,objective,pruned"
         flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert flags == ["true", "true", "false"]
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_invalid_thread_variable_usage_error(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("KISSBOUND_THREADS", threads)
+        code, _, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.755",
+            "--rho-hi", "1.755",
+            "--step", "0.01",
+            "--grid-step", "0.15",
+        )
+        assert code == 2
+        assert "KISSBOUND_THREADS" in err
 
     def test_invalid_interval_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--rho-lo", "1.8", "--rho-hi", "1.7", "--step", "0.01")
@@ -190,6 +210,56 @@ class TestCertify:
         )
         assert code == 4
         assert "error" in err
+
+
+    def test_thread_variable_recorded_in_sidecar(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("KISSBOUND_THREADS", "1")
+        out_path = str(tmp_path / "cert.txt")
+        code, _, _ = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--delta", "0.01",
+            "--target", "14.9",
+            "--output", out_path,
+        )
+        assert code == 0
+        meta = json.load(open(out_path + ".meta.json"))
+        assert meta["configuration"]["workers"] == 1
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_invalid_thread_variable_usage_error(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("KISSBOUND_THREADS", threads)
+        out_path = tmp_path / "c.txt"
+        code, _, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--delta", "0.01",
+            "--target", "14.5",
+            "--output", str(out_path),
+        )
+        assert code == 2
+        assert "KISSBOUND_THREADS" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flag", ["--delta", "--target", "--fp-slack"])
+    def test_nan_input_exit_four(self, capsys, tmp_path, flag):
+        args = {"--delta": "0.01", "--target": "14.5", "--fp-slack": "1e-9"}
+        args[flag] = "nan"
+        out_path = tmp_path / "c.txt"
+        code, _, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            *(item for pair in args.items() for item in pair),
+            "--workers", "1",
+            "--output", str(out_path),
+        )
+        assert code == 4
+        assert "finite" in err
+        assert not out_path.exists()
+        assert not (tmp_path / "c.txt.meta.json").exists()
 
 
 class TestGraph:
