@@ -1,13 +1,13 @@
 """Vectorized numpy kernels: the single implementation of the box bound.
 
-Both the coordinate path (the `Box` API, `density_vec` and the property
-tests) and the certifier's grid scan evaluate the spherical law of
-cosines, the 2x + y + z vs pi corner rule, the lower-corner area and the
-final quotient here.  The kernels see corner coordinates only through
-providers: `pair(u, v)` returns cos and sin of the side u + v, `coord(u)`
-the cap radius and `k_of(u)` the cap area K at u.  The defaults compute
-all three from radii; the grid scan passes grid indices with table
-lookups, so both paths share every expression and its evaluation order.
+The coordinate path (the `Box` API and the property tests), the density
+search (`density.max_density`, through `density_vec`) and the grid scan
+evaluate the spherical law of cosines, the 2x + y + z vs pi corner rule,
+the lower-corner area and the final quotient here.  The kernels see
+corners only through providers: `pair(u, v)` gives cos and sin of the
+side u + v, `coord(u)` the cap radius and `k_of(u)` the cap area K at u.
+The defaults compute all three from radii; the grid scan passes grid
+indices with table lookups, so both paths share every expression.
 
 These mirror the scalar formulas in `caps` exactly (same expressions, same
 evaluation order) so that scalar and vector paths produce identical IEEE

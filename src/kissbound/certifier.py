@@ -203,8 +203,14 @@ class _GridScan:
     def __init__(self, geom: RhoGeometry, delta: float):
         if not 0.0 < delta < math.inf:
             raise DomainError(f"delta must be positive and finite, got {delta!r}")
-        width = geom.interval_width
-        n = int(math.ceil(width / delta - 1e-12))
+        cells = geom.interval_width / delta
+        # the cos and sin tables hold (n + 1)^2 float64 values each, n <= cells + 1
+        table_bytes = 2 * 8 * (cells + 2.0) * (cells + 2.0)
+        if not table_bytes <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise DomainError(
+                f"delta {delta!r} needs {table_bytes:.3g} bytes of tables, over physical memory"
+            )
+        n = int(math.ceil(cells - 1e-12))
         if n < 1:
             raise DomainError(f"delta {delta!r} leaves no boxes in the interval")
         self.geom = geom

@@ -125,7 +125,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"sweep interval must satisfy 1 < lo <= hi < 3, "
             f"got [{args.rho_lo:g}, {args.rho_hi:g}]"
         )
-    if args.step <= 0.0:
+    if not args.step > 0.0:
         raise _UsageError(f"step must be positive, got {args.step:g}")
     _resolve_worker_arg(args)
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
@@ -138,22 +138,18 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     csv_text = sweep_to_csv(results, include_pruned=args.prune is not None)
-    searched = [r for r in results if not r.pruned]
-    best = min(searched, key=lambda r: (r.objective, r.rho)) if searched else None
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-        if best is not None:
-            print(
-                f"# minimum objective {best.objective:.9f} at rho={best.rho:.6g} "
-                f"(argmax caps: {best.argmax[0]:.9g} {best.argmax[1]:.9g} "
-                f"{best.argmax[2]:.9g})"
-            )
-    print(
-        json.dumps(_metadata(args, started, {"stdout": _sha256(csv_text)})),
-        file=sys.stderr,
-    )
+    # results come in rho order, so ties go to the smallest rho
+    best = min((r for r in results if not r.pruned), key=lambda r: r.objective, default=None)
+    sys.stdout.write(csv_text)
+    if args.format != "csv" and best is not None:
+        print(
+            f"# minimum objective {best.objective:.9f} at rho={best.rho:.6g} "
+            f"(argmax caps: {best.argmax[0]:.9g} {best.argmax[1]:.9g} "
+            f"{best.argmax[2]:.9g})"
+        )
+    metadata = _metadata(args, started, {"stdout": _sha256(csv_text)})
+    metadata["failed_starts"] = sum(r.failed_starts for r in results)
+    print(json.dumps(metadata), file=sys.stderr)
     return EXIT_OK
 
 

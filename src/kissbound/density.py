@@ -13,19 +13,22 @@ Multiplying by 8 rho / (-rho^2 + 4 rho - 3) turns the maximum into an
 upper bound on the average degree of a ball packing's contact graph; the
 sweep over rho locates the inflation ratio minimizing that objective.
 
-The maximization is a heuristic multistart simplex search and carries no
+The maximization is a heuristic multistart Nelder-Mead search: every start
+point gets its own simplex, and one lockstep loop advances all of them
+together on the vectorized kernel `_kernels.density_vec`.  It carries no
 rigor guarantee; the certifier owns the rigorous statement.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._kernels import density_vec
 from .caps import RhoGeometry, TriangleAngles, cap_area_K, rho_geometry, triangle_angles
 from .certifier import _resolve_workers, objective_factor
 from .errors import DegenerateTriangleError, DomainError, KissboundError
@@ -56,6 +59,14 @@ class SearchConfig:
     grid_step: float = 0.05
     tol: float = 1e-10
     max_iterations: int = 2000
+
+    def __post_init__(self):
+        if not 0.0 < self.grid_step < math.inf:
+            raise DomainError(f"grid step must be positive and finite, got {self.grid_step!r}")
+        if not 0.0 <= self.tol < math.inf:
+            raise DomainError(f"tol must be non-negative and finite, got {self.tol!r}")
+        if not self.max_iterations >= 1:
+            raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,7 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
     for value in (x, y, z):
         if not (geom.alpha_min - 1e-12 <= value <= geom.alpha_max + 1e-12):
             raise DomainError(
-                f"cap radius {value!r} outside "
-                f"[{geom.alpha_min!r}, {geom.alpha_max!r}]"
+                f"cap radius {value!r} outside [{geom.alpha_min!r}, {geom.alpha_max!r}]"
             )
     order = sorted(range(3), key=(x, y, z).__getitem__)
     sx, sy, sz = ((x, y, z)[i] for i in order)
@@ -110,54 +120,29 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
         + cap_area_K(geom, sz) * canonical.angle_z
     )
     value = num / (2.0 * math.pi * canonical.area)
-    sorted_angles = (canonical.angle_x, canonical.angle_y, canonical.angle_z)
-    unsorted = [0.0, 0.0, 0.0]
-    for position, index in enumerate(order):
-        unsorted[index] = sorted_angles[position]
-    angles = TriangleAngles(
-        x, y, z, unsorted[0], unsorted[1], unsorted[2], canonical.area
-    )
+    angle = dict(zip(order, (canonical.angle_x, canonical.angle_y, canonical.angle_z)))
+    angles = TriangleAngles(x, y, z, angle[0], angle[1], angle[2], canonical.area)
     return TriangleDensity(x, y, z, angles, value)
 
 
 def _wedge_grid(geom: RhoGeometry, step: float) -> list[tuple[float, float, float]]:
     """Start points covering {alpha_min <= x <= y <= z <= alpha_max}."""
-    if step <= 0.0:
-        raise DomainError(f"grid step must be positive, got {step!r}")
     values = [geom.alpha_min + i * step for i in range(int(geom.interval_width / step) + 1)]
     if values[-1] < geom.alpha_max - 1e-9:
         values.append(geom.alpha_max)
-    starts = []
-    for ix, x in enumerate(values):
-        for iy in range(ix, len(values)):
-            for iz in range(iy, len(values)):
-                starts.append((x, values[iy], values[iz]))
-    return starts
+    return list(itertools.combinations_with_replacement(values, 3))
 
 
-def _density_value(geom: RhoGeometry, x: float, y: float, z: float) -> float:
-    """Density without dataclass packaging; -inf where undefined."""
-    x, y, z = sorted((x, y, z))
-    side_yz, side_xz, side_xy = y + z, x + z, x + y
-    if max(side_yz, side_xz, side_xy) >= math.pi:
-        return -math.inf
-    cos_yz, sin_yz = math.cos(side_yz), math.sin(side_yz)
-    cos_xz, sin_xz = math.cos(side_xz), math.sin(side_xz)
-    cos_xy, sin_xy = math.cos(side_xy), math.sin(side_xy)
-    arg_x = (cos_yz - cos_xz * cos_xy) / (sin_xz * sin_xy)
-    arg_y = (cos_xz - cos_xy * cos_yz) / (sin_xy * sin_yz)
-    arg_z = (cos_xy - cos_xz * cos_yz) / (sin_xz * sin_yz)
-    if max(abs(arg_x), abs(arg_y), abs(arg_z)) > 1.0:
-        return -math.inf
-    area = math.acos(arg_x) + math.acos(arg_y) + math.acos(arg_z) - math.pi
-    if area <= 0.0:
-        return -math.inf
-    num = (
-        cap_area_K(geom, x) * math.acos(arg_x)
-        + cap_area_K(geom, y) * math.acos(arg_y)
-        + cap_area_K(geom, z) * math.acos(arg_z)
-    )
-    return num / (2.0 * math.pi * area)
+# the standard Nelder-Mead coefficients, and 5% steps for the initial simplex
+REFLECT, EXPAND, CONTRACT, SHRINK, INITIAL_SCALE = 1.0, 2.0, 0.5, 0.5, 1.05
+
+
+def _neg_density(geom: RhoGeometry, points: np.ndarray) -> np.ndarray:
+    """-D at points (..., 3), each sorted first; +inf outside I_rho^3 or where D is NaN."""
+    inside = np.all((points >= geom.alpha_min) & (points <= geom.alpha_max), axis=-1)
+    x, y, z = np.sort(points, axis=-1).reshape(-1, 3).T.copy()
+    value = -density_vec(geom, x, y, z).reshape(inside.shape)
+    return np.where(inside & ~np.isnan(value), value, np.inf)
 
 
 def max_density(
@@ -167,59 +152,73 @@ def max_density(
 ) -> SweepResult:
     """Best local maximum of D found by multistart Nelder-Mead.
 
-    Starts from every point of the symmetry-reduced grid (or from the
-    given `starts`, e.g. to probe order independence); the search itself
-    roams the full cube (out-of-domain trial points are rejected with an
-    infinite penalty) and the reported argmax is sorted into x <= y <= z.
-    Deterministic given cfg: the reduction over starts is a max with ties
-    broken toward the lexicographically smallest triple, so the result
-    does not depend on start order.  Failed starts (searches ending on a
-    non-finite value) are skipped and counted.
+    One lockstep loop advances a simplex per start (every point of the
+    symmetry-reduced grid, or the given `starts`) as an (S, 4, 3) array
+    with (S, 4) values; a lane stops once its simplex size and value
+    spread are both within cfg.tol, or after cfg.max_iterations.  Per-lane
+    masks choose reflection, expansion, contraction or shrink.  Points
+    outside I_rho^3 get an infinite penalty.  Lanes never mix and the max
+    over starts breaks ties toward the lexicographically smallest sorted
+    triple, so start order does not matter.  Failed starts (infeasible,
+    or ending non-finite) are skipped and counted.
     """
     cfg = cfg or SearchConfig()
-    lo, hi = geom.alpha_min, geom.alpha_max
-
-    def neg_density(v) -> float:
-        x, y, z = v
-        if not (lo <= x <= hi and lo <= y <= hi and lo <= z <= hi):
-            return math.inf
-        return -_density_value(geom, x, y, z)
-
-    best_value = -math.inf
-    best_triple: tuple[float, float, float] | None = None
-    failed = 0
     if starts is None:
         starts = _wedge_grid(geom, cfg.grid_step)
-    for start in starts:
-        # infeasible start (e.g. the cube corner beyond rho = 2): nothing
-        # to descend from, and an all-inf simplex trips the optimizer
-        if not math.isfinite(neg_density(start)):
-            failed += 1
-            continue
-        result = minimize(
-            neg_density,
-            np.asarray(start, dtype=np.float64),
-            method="Nelder-Mead",
-            options=dict(
-                xatol=cfg.tol, fatol=cfg.tol, maxiter=cfg.max_iterations
-            ),
+    start = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
+    # vertex k + 1 of a start's simplex scales its coordinate k
+    sim = start[:, None, :] * np.where(np.eye(4, 3, k=-1, dtype=bool), INITIAL_SCALE, 1.0)
+    fsim = _neg_density(geom, sim)
+    best_x, best_f = start.copy(), np.full(len(start), np.inf)
+    lanes = np.flatnonzero(np.isfinite(fsim[:, 0]))
+    sim, fsim = sim[lanes], fsim[lanes]
+    for iteration in itertools.count(1):
+        order = np.argsort(fsim, axis=1, kind="stable")
+        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+        fsim = np.take_along_axis(fsim, order, axis=1)
+        size = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
+        spread = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1)
+        done = ((size <= cfg.tol) & (spread <= cfg.tol)) | (iteration >= cfg.max_iterations)
+        best_x[lanes[done]], best_f[lanes[done]] = sim[done, 0], fsim[done, 0]
+        lanes, sim, fsim = lanes[~done], sim[~done], fsim[~done]
+        if not lanes.size:
+            break
+
+        xbar, worst = (sim[:, 0] + sim[:, 1] + sim[:, 2]) / 3.0, sim[:, 3]
+        xr = (1.0 + REFLECT) * xbar - REFLECT * worst
+        fxr = _neg_density(geom, xr)
+        expand = fxr < fsim[:, 0]
+        accept = ~expand & (fxr < fsim[:, 2])
+        outside = ~expand & ~accept & (fxr < fsim[:, 3])
+        inside = ~(expand | accept | outside)
+        # where the reflection alone does not decide, one more trial point
+        # (1 + c) xbar - c worst: expansion, outside or inside contraction
+        c = np.where(expand, REFLECT * EXPAND, np.where(outside, CONTRACT * REFLECT, -CONTRACT))
+        trial = (1.0 + c[:, None]) * xbar - c[:, None] * worst
+        f_trial = _neg_density(geom, trial)
+        take_trial = (
+            (expand & (f_trial < fxr))
+            | (outside & (f_trial <= fxr))
+            | (inside & (f_trial < fsim[:, 3]))
         )
-        value = -float(result.fun)
-        if not math.isfinite(value):
-            failed += 1
-            continue
-        triple = tuple(sorted(float(v) for v in result.x))
-        if value > best_value or (value == best_value and triple < best_triple):
-            best_value = value
-            best_triple = triple
-    if best_triple is None:
+        keep = take_trial | accept | expand
+        sim[keep, 3] = np.where(take_trial[:, None], trial, xr)[keep]
+        fsim[keep, 3] = np.where(take_trial, f_trial, fxr)[keep]
+        anchor = sim[~keep, :1]
+        sim[~keep, 1:] = anchor + SHRINK * (sim[~keep, 1:] - anchor)
+        fsim[~keep, 1:] = _neg_density(geom, sim[~keep, 1:])
+
+    finite = np.isfinite(best_f)
+    if not finite.any():
         raise KissboundError("no start point produced a finite density")
+    best_value = -float(best_f.min())
+    best_triple = min(map(tuple, np.sort(best_x[best_f == -best_value], axis=1).tolist()))
     return SweepResult(
         rho=geom.rho,
         max_density=best_value,
         argmax=best_triple,
         objective=best_value * objective_factor(geom.rho),
-        failed_starts=failed,
+        failed_starts=int(np.count_nonzero(~finite)),
     )
 
 
@@ -281,7 +280,7 @@ def _rho_grid(rho_lo: float, rho_hi: float, step: float) -> list[float]:
         raise DomainError(
             f"sweep interval must satisfy 1 < lo <= hi < 3, got {(rho_lo, rho_hi)!r}"
         )
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError(f"sweep step must be positive, got {step!r}")
     count = int(math.floor((rho_hi - rho_lo) / step + 1e-9)) + 1
     return [rho_lo + i * step for i in range(count)]

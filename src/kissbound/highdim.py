@@ -46,8 +46,7 @@ GL_POINTS = 16
 
 @lru_cache(maxsize=None)
 def _gl_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(points)
 
 
 def _check_dimension(d: int) -> None:

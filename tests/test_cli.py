@@ -124,6 +124,39 @@ class TestOptimize:
         assert code == 2
         assert "KISSBOUND_THREADS" in err
 
+    def test_failed_starts_in_metadata(self, capsys):
+        code, _, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.755",
+            "--rho-hi", "1.765",
+            "--step", "0.01",
+            "--grid-step", "0.15",
+            "--workers", "1",
+        )
+        assert code == 0
+        meta = json.loads(err.strip().split("\n")[-1])
+        assert meta["failed_starts"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, code", [("--step", 2), ("--grid-step", 4), ("--tol", 4)]
+    )
+    def test_nan_search_input_rejected(self, capsys, flag, code):
+        args = {"--step": "0.01", "--grid-step": "0.15", "--tol": "1e-10"}
+        args[flag] = "nan"
+        exit_code, out, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.755",
+            "--rho-hi", "1.755",
+            *(item for pair in args.items() for item in pair),
+            "--workers", "1",
+        )
+        assert exit_code == code
+        assert out == ""
+        assert "Traceback" not in err
+        assert "nan" in err
+
     def test_invalid_interval_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--rho-lo", "1.8", "--rho-hi", "1.7", "--step", "0.01")
         assert code == 2
@@ -258,6 +291,24 @@ class TestCertify:
         )
         assert code == 4
         assert "finite" in err
+        assert not out_path.exists()
+        assert not (tmp_path / "c.txt.meta.json").exists()
+
+
+    def test_oversized_grid_exit_four(self, capsys, tmp_path):
+        out_path = tmp_path / "c.txt"
+        code, _, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--target", "14.5",
+            "--delta", "1e-300",
+            "--workers", "1",
+            "--output", str(out_path),
+        )
+        assert code == 4
+        assert "memory" in err
+        assert "Traceback" not in err
         assert not out_path.exists()
         assert not (tmp_path / "c.txt.meta.json").exists()
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kissbound
 from kissbound import (
     DomainError,
+    KissboundError,
     SearchConfig,
     density,
     max_density,
@@ -16,7 +21,7 @@ from kissbound import (
     sweep_to_csv,
 )
 from kissbound._kernels import density_vec
-from kissbound.density import SWEEP_CSV_HEADER, _density_value, _wedge_grid
+from kissbound.density import SWEEP_CSV_HEADER, _neg_density, _wedge_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -113,12 +118,6 @@ class TestDensity:
         se = math.sqrt(estimate * (1.0 - estimate) / in_triangle)
         assert abs(estimate - SIMPLEX_PI6_DENSITY) <= 3.0 * se
 
-    def test_fast_path_matches_dataclass_path(self, rng):
-        g = rho_geometry(1.755)
-        for _ in range(300):
-            x, y, z = rng.uniform(g.alpha_min, g.alpha_max, size=3)
-            assert _density_value(g, x, y, z) == density(g, x, y, z).density
-
     def test_vector_kernel_matches_scalar(self, rng):
         g = rho_geometry(1.755)
         x, y, z = rng.uniform(g.alpha_min, g.alpha_max, size=(3, 500))
@@ -141,6 +140,65 @@ class TestMaxDensity:
         assert result.failed_starts == 0
         x, y, z = result.argmax
         assert x <= y <= z
+
+    def test_max_density_matches_dataclass_path(self):
+        g = rho_geometry(1.755)
+        result = max_density(g, SearchConfig(grid_step=0.1))
+        assert result.max_density == pytest.approx(density(g, *result.argmax).density, rel=1e-14)
+
+    @pytest.mark.parametrize("max_iterations, atol", [(40, 1e-12), (2000, 1e-6)])
+    def test_each_lane_matches_scalar_nelder_mead(self, rng, max_iterations, atol):
+        # the per-start scipy search this loop replaced, on the same objective:
+        # mid-search the simplices agree; a converged search may end a few ulps
+        # apart where tied vertex values sort in another order
+        from scipy.optimize import minimize
+
+        g = rho_geometry(1.755)
+        cfg = SearchConfig(max_iterations=max_iterations)
+        options = dict(xatol=cfg.tol, fatol=cfg.tol, maxiter=cfg.max_iterations)
+        # corner starts put simplex vertices outside the cube, on the penalty
+        corners = [(g.alpha_max,) * 3, (g.alpha_min, g.alpha_zero, g.alpha_max)]
+        for start in [*rng.uniform(g.alpha_min, g.alpha_max, size=(10, 3)), *corners]:
+            reference = minimize(
+                lambda v: float(_neg_density(g, v)), start, method="Nelder-Mead", options=options
+            )
+            result = max_density(g, cfg, starts=[tuple(start)])
+            assert result.failed_starts == 0
+            assert result.max_density == pytest.approx(-reference.fun, rel=1e-14)
+            assert np.allclose(result.argmax, np.sort(reference.x), rtol=0.0, atol=atol)
+
+    def test_infeasible_start_counted_and_skipped(self):
+        g = rho_geometry(1.755)
+        cfg = SearchConfig(grid_step=0.15)
+        starts = _wedge_grid(g, cfg.grid_step)
+        reference = max_density(g, cfg, starts=starts)
+        outside = (g.alpha_min, g.alpha_zero, g.alpha_max + 0.1)
+        result = max_density(g, cfg, starts=starts + [outside])
+        assert reference.failed_starts == 0
+        assert result.failed_starts == 1
+        assert result.max_density == reference.max_density
+        assert result.argmax == reference.argmax
+
+    def test_no_finite_start_raises(self):
+        g = rho_geometry(1.755)
+        with pytest.raises(KissboundError):
+            max_density(g, starts=[(g.alpha_max + 0.1,) * 3])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid_step", math.nan),
+            ("grid_step", 0.0),
+            ("grid_step", math.inf),
+            ("tol", math.nan),
+            ("tol", -1e-10),
+            ("tol", math.inf),
+            ("max_iterations", 0),
+        ],
+    )
+    def test_config_rejects_invalid_settings(self, field, value):
+        with pytest.raises(DomainError):
+            SearchConfig(**{field: value})
 
     def test_grid_robustness(self):
         g = rho_geometry(1.755)
@@ -213,6 +271,8 @@ class TestSweep:
             sweep_rho(1.8, 1.7, 0.01)
         with pytest.raises(DomainError):
             sweep_rho(1.7, 1.8, -0.01)
+        with pytest.raises(DomainError):
+            sweep_rho(1.7, 1.8, math.nan)
 
 
 class TestPruning:
@@ -252,3 +312,13 @@ class TestCsv:
         lines = text.strip().split("\n")
         assert lines[0].endswith(",pruned")
         assert lines[1].endswith(",true")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; importing the package must not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kissbound.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, kissbound; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
