@@ -320,6 +320,8 @@ def sweep_rho(
     reaches the threshold are skipped (marked pruned) instead of
     searched; without it the full interval is searched.
     """
+    if prune_threshold is not None and not math.isfinite(prune_threshold):
+        raise DomainError(f"prune threshold must be finite, got {prune_threshold!r}")
     cfg = cfg or SearchConfig()
     grid = _rho_grid(rho_lo, rho_hi, step)
     jobs = [(rho, cfg, prune_threshold) for rho in grid]

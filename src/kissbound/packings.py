@@ -7,7 +7,8 @@ A packing document is a single JSON object
 with finite decimal numbers.  Tangency and overlap are decided with a
 relative tolerance (default 1e-9) because exact tangency is not
 representable for irrational configurations; the tolerance used is
-recorded in every report.
+recorded in every report.  The overlap check and the contact graph
+share one sweep-and-prune pair search.
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -43,7 +44,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
-ALL_PAIRS_LIMIT = 10_000
+# candidate pairs per distance batch, which bounds the sweep's temporaries
+MAX_PAIR_BATCH = 8_192
 
 
 @dataclass(frozen=True)
@@ -98,20 +100,18 @@ def packing_from_balls(
     Raises OverlapError naming the first offending pair (lexicographic)
     and its penetration depth.
     """
-    if tolerance < 0.0:
-        raise DomainError(f"tolerance must be non-negative, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     packing = Packing(balls=tuple(balls), tolerance=tolerance)
-    if len(packing) < 2:
-        return packing
     centers, radii = _centers_radii(packing)
-    for i in range(len(packing) - 1):
-        dist = np.sqrt(np.sum((centers[i + 1 :] - centers[i]) ** 2, axis=1))
-        limit = (radii[i] + radii[i + 1 :]) * (1.0 - tolerance)
-        bad = np.nonzero(dist < limit)[0]
-        if bad.size:
-            j = i + 1 + int(bad[0])
-            penetration = float(radii[i] + radii[j] - dist[bad[0]])
-            raise OverlapError(i, j, penetration)
+    overlaps = []
+    for i, j, dist in _close_pairs(centers, radii, tolerance):
+        bad = dist < (radii[i] + radii[j]) * (1.0 - tolerance)
+        # sweep order is not index order: keep each batch's lexicographic first
+        overlaps += sorted(zip(i[bad].tolist(), j[bad].tolist(), dist[bad].tolist()))[:1]
+    if overlaps:
+        i, j, dist = min(overlaps)
+        raise OverlapError(i, j, float(radii[i] + radii[j] - dist))
     return packing
 
 
@@ -138,10 +138,11 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
         if (
             not isinstance(center, list)
             or len(center) != 3
-            or not all(isinstance(v, (int, float)) for v in center)
+            or not all(type(v) in (int, float) for v in center)
         ):
             raise PackingParseError(f"ball {index}: center must be [x, y, z]")
-        if not isinstance(radius, (int, float)):
+        # type(), not isinstance: JSON true and false are bools, an int subclass
+        if type(radius) not in (int, float):
             raise PackingParseError(f"ball {index}: radius must be a number")
         center_t = tuple(float(v) for v in center)
         radius_f = float(radius)
@@ -157,54 +158,48 @@ def _tangent_mask(dist: np.ndarray, radius_sum: np.ndarray, tol: float) -> np.nd
     return np.abs(dist - radius_sum) <= tol * radius_sum
 
 
-def _edges_all_pairs(centers, radii, tol):
-    edges = []
-    count = centers.shape[0]
-    for i in range(count - 1):
-        dist = np.sqrt(np.sum((centers[i + 1 :] - centers[i]) ** 2, axis=1))
-        hits = np.nonzero(_tangent_mask(dist, radii[i] + radii[i + 1 :], tol))[0]
-        edges.extend((i, i + 1 + int(j)) for j in hits)
-    return edges
+def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
+    """Yield batches (i, j, dist), i < j, of the pairs whose extents
+    x +- r (1 + tol) meet on the axis where the centers spread most.
 
-
-def _edges_spatial_grid(centers, radii, tol):
-    # cell size keyed to the largest ball keeps every tangent pair within
-    # one cell of each other
-    cell = 2.0 * float(radii.max()) * (1.0 + tol)
-    keys = np.floor(centers / cell).astype(np.int64)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    for index, key in enumerate(map(tuple, keys)):
-        buckets.setdefault(key, []).append(index)
-    edges = []
-    for (kx, ky, kz), members in buckets.items():
-        candidates = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    candidates.extend(buckets.get((kx + dx, ky + dy, kz + dz), ()))
-        cand = np.array(sorted(set(candidates)), dtype=np.int64)
-        for i in members:
-            others = cand[cand > i]
-            if others.size == 0:
-                continue
-            dist = np.sqrt(np.sum((centers[others] - centers[i]) ** 2, axis=1))
-            hits = np.nonzero(_tangent_mask(dist, radii[i] + radii[others], tol))[0]
-            edges.extend((i, int(others[j])) for j in hits)
-    edges.sort()
-    return edges
+    Both the tangency and the overlap test imply, after rounding,
+    |dx| <= (ri + rj)(1 + tol)(1 + 3 eps); the padded reach exceeds that
+    and rounding x +- reach is monotone, so no accepted pair is missed.
+    """
+    count = len(radii)
+    if count < 2:
+        return
+    axis = int(np.argmax(np.ptp(centers, axis=0)))
+    reach = radii * ((1.0 + tol) * (1.0 + 8.0 * np.finfo(np.float64).eps))
+    lo = centers[:, axis] - reach
+    hi = centers[:, axis] + reach
+    order = np.argsort(lo, kind="stable")
+    # the k-th ball in sweep order meets the later balls k + 1 .. stop - 1
+    stop = np.searchsorted(lo[order], hi[order], side="right")
+    offsets = np.concatenate(([0], np.cumsum(stop - np.arange(1, count + 1))))
+    total = int(offsets[-1])
+    for start in range(0, total, MAX_PAIR_BATCH):
+        flat = np.arange(start, min(start + MAX_PAIR_BATCH, total))
+        k = np.searchsorted(offsets, flat, side="right") - 1
+        a, b = order[k], order[flat - offsets[k] + k + 1]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        yield i, j, np.sqrt(np.sum((centers[j] - centers[i]) ** 2, axis=1))
 
 
 def contact_graph(packing: Packing) -> ContactGraph:
     """Tangency graph: edge (i, j) iff |dist - (ri + rj)| <= tol (ri + rj)."""
-    count = len(packing)
-    if count < 2:
-        return ContactGraph(vertex_count=count, edges=())
     centers, radii = _centers_radii(packing)
-    if count <= ALL_PAIRS_LIMIT:
-        edges = _edges_all_pairs(centers, radii, packing.tolerance)
-    else:
-        edges = _edges_spatial_grid(centers, radii, packing.tolerance)
-    return ContactGraph(vertex_count=count, edges=tuple(edges))
+    tol = packing.tolerance
+    hits = [np.zeros((2, 0), dtype=np.intp)]
+    for i, j, dist in _close_pairs(centers, radii, tol):
+        hit = _tangent_mask(dist, radii[i] + radii[j], tol)
+        hits.append(np.stack((i[hit], j[hit])))
+    i, j = np.concatenate(hits, axis=1)
+    order = np.lexsort((j, i))
+    # one int object per ball, shared by all of its edges
+    label = list(range(len(packing))).__getitem__
+    edges = tuple(zip(map(label, i[order]), map(label, j[order])))
+    return ContactGraph(vertex_count=len(packing), edges=edges)
 
 
 def fcc_fragment(n: int) -> Packing:

@@ -157,6 +157,23 @@ class TestOptimize:
         assert "Traceback" not in err
         assert "nan" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_prune_exit_four(self, capsys, value):
+        code, out, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.755",
+            "--rho-hi", "1.755",
+            "--step", "0.01",
+            "--grid-step", "0.15",
+            "--prune", value,
+            "--workers", "1",
+        )
+        assert code == 4
+        assert out == ""
+        assert "prune" in err
+        assert "Traceback" not in err
+
     def test_invalid_interval_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--rho-lo", "1.8", "--rho-hi", "1.7", "--step", "0.01")
         assert code == 2
@@ -340,6 +357,16 @@ class TestGraph:
         code, _, err = run(capsys, "graph", data_path("overlapping.json"))
         assert code == 3
         assert "overlap" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_four(self, capsys, value):
+        code, out, err = run(
+            capsys, "graph", data_path("two_balls.json"), "--tolerance", value
+        )
+        assert code == 4
+        assert out == ""
+        assert "tolerance" in err
+        assert "Traceback" not in err
 
     def test_parse_error_exit_three(self, capsys):
         code, _, err = run(capsys, "graph", data_path("malformed.json"))

@@ -259,6 +259,11 @@ class TestSweep:
         assert not by_rho[1.60].pruned
         assert by_rho[1.50].objective >= 14.0
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prune_threshold_rejected(self, threshold):
+        with pytest.raises(DomainError):
+            sweep_rho(1.755, 1.755, 0.01, SearchConfig(grid_step=0.15), prune_threshold=threshold)
+
     def test_objective_continuity(self):
         cfg = SearchConfig(grid_step=0.1)
         for rho in (1.60, 1.755, 1.90):

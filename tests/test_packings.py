@@ -18,12 +18,8 @@ from kissbound import (
     pair_sum_value,
     rho_geometry,
 )
-from kissbound.packings import (
-    AUDIT_CSV_HEADER,
-    _edges_all_pairs,
-    _edges_spatial_grid,
-    audit_to_csv,
-)
+from kissbound import packings
+from kissbound.packings import AUDIT_CSV_HEADER, audit_to_csv
 
 from conftest import data_path
 
@@ -31,6 +27,86 @@ from conftest import data_path
 def read(name):
     with open(data_path(name), encoding="utf-8") as fh:
         return fh.read()
+
+
+def brute_force_edges(packing):
+    """Tangent pairs by testing every pair, in index order."""
+    centers = np.array([b.center for b in packing.balls])
+    radii = np.array([b.radius for b in packing.balls])
+    tol = packing.tolerance
+    edges = []
+    for i in range(len(packing) - 1):
+        dist = np.sqrt(np.sum((centers[i + 1 :] - centers[i]) ** 2, axis=1))
+        radius_sum = radii[i] + radii[i + 1 :]
+        hits = np.nonzero(np.abs(dist - radius_sum) <= tol * radius_sum)[0]
+        edges.extend((i, i + 1 + int(j)) for j in hits)
+    return tuple(edges)
+
+
+def tangent_chain(rng, axis):
+    """200 balls of random radii, each tangent to the next along one axis."""
+    balls = []
+    x = 0.0
+    prev = None
+    for _ in range(200):
+        r = float(rng.uniform(0.2, 3.0))
+        if prev is not None:
+            x += prev + r
+        center = [0.0, 0.0, 0.0]
+        center[axis] = x
+        balls.append(Ball(tuple(center), r))
+        prev = r
+    return packing_from_balls(balls)
+
+
+def multiscale_packing(rng, count=300):
+    """Balls with log-uniform radii in [0.01, 100], each placed tangent to
+    an earlier one in a random direction and kept only if it overlaps none."""
+    centers = [np.zeros(3)]
+    radii = [1.0]
+    while len(radii) < count:
+        r = float(10.0 ** rng.uniform(-2.0, 2.0))
+        parent = int(rng.integers(len(radii)))
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        center = centers[parent] + (radii[parent] + r) * direction
+        gaps = np.linalg.norm(np.array(centers) - center, axis=1) - (np.array(radii) + r)
+        gaps[parent] = np.inf
+        if np.all(gaps > 1e-6 * (np.array(radii) + r)):
+            centers.append(center)
+            radii.append(r)
+    return packing_from_balls(
+        [Ball(tuple(float(v) for v in c), r) for c, r in zip(centers, radii)]
+    )
+
+
+def widest_pairs(rng, base, tolerance, count=200):
+    """Pairs of balls along x from x = base, each at the largest separation
+    that the tangency test accepts."""
+    ra = 10.0 ** rng.uniform(-1.0, 1.0, count)
+    rb = 10.0 ** rng.uniform(-1.0, 1.0, count)
+    xa = base + 50.0 * np.arange(count)
+    radius_sum = ra + rb
+
+    def accepted(bits):
+        dist = np.sqrt((bits.view(np.float64) - xa) ** 2)
+        return np.abs(dist - radius_sum) <= tolerance * radius_sum
+
+    # bisect on the bit patterns, which order positive floats
+    lo = (xa + radius_sum).view(np.int64)
+    hi = (xa + 2.0 * radius_sum).view(np.int64)
+    assert accepted(lo).all() and not accepted(hi).any()
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        ok = accepted(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    xb = lo.view(np.float64)
+    balls = []
+    for args in zip(xa, ra, xb, rb):
+        x1, r1, x2, r2 = map(float, args)
+        balls += [Ball((x1, 0.0, 0.0), r1), Ball((x2, 0.0, 0.0), r2)]
+    return packing_from_balls(balls, tolerance)
 
 
 class TestLoadPacking:
@@ -44,6 +120,29 @@ class TestLoadPacking:
             load_packing(read("overlapping.json"))
         assert info.value.pair == (0, 1)
         assert info.value.penetration == pytest.approx(0.1, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "batch", [1, packings.MAX_PAIR_BATCH], ids=["one_pair_batches", "module_batches"]
+    )
+    def test_overlap_reports_lexicographic_first_pair(self, monkeypatch, batch):
+        # the sweep meets (1, 2) and (1, 4) before (0, 3)
+        monkeypatch.setattr(packings, "MAX_PAIR_BATCH", batch)
+        balls = [
+            Ball((10.0, 0.0, 0.0), 1.0),
+            Ball((0.0, 0.0, 0.0), 1.0),
+            Ball((1.5, 0.0, 0.0), 1.0),
+            Ball((11.25, 0.0, 0.0), 1.0),
+            Ball((0.0, 1.0, 0.0), 1.0),
+        ]
+        with pytest.raises(OverlapError) as info:
+            packing_from_balls(balls)
+        assert info.value.pair == (0, 3)
+        assert info.value.penetration == pytest.approx(0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+    def test_invalid_tolerance_rejected(self, tolerance):
+        with pytest.raises(DomainError):
+            load_packing(read("two_balls.json"), tolerance=tolerance)
 
     def test_fcc_fixture_round_trip(self):
         packing = load_packing(read("fcc_n2.json"))
@@ -75,6 +174,8 @@ class TestLoadPacking:
             '{"balls": [{"center": [0, 0, 0], "radius": "r"}]}',
             '{"balls": [{"center": [0, 0, 0]}]}',
             '{"balls": [{"center": [0, 0, 1e400], "radius": 1}]}',
+            '{"balls": [{"center": [true, 0, 0], "radius": 1}]}',
+            '{"balls": [{"center": [0, 0, 0], "radius": true}]}',
         ],
     )
     def test_schema_violations(self, payload):
@@ -116,29 +217,31 @@ class TestContactGraph:
         mapped = {tuple(sorted((int(inverse[i]), int(inverse[j])))) for i, j in graph.edges}
         assert mapped == set(regraph.edges)
 
-    def test_spatial_grid_matches_all_pairs(self, rng):
-        packing = fcc_fragment(3)
-        centers = np.array([b.center for b in packing.balls])
-        radii = np.array([b.radius for b in packing.balls])
-        assert _edges_spatial_grid(centers, radii, 1e-9) == _edges_all_pairs(
-            centers, radii, 1e-9
-        )
-        # mixed radii: tangent chain with random sizes
-        balls = []
-        x = 0.0
-        prev = None
-        for _ in range(200):
-            r = float(rng.uniform(0.2, 3.0))
-            if prev is not None:
-                x += prev + r
-            balls.append(Ball((x, 0.0, 0.0), r))
-            prev = r
-        packing = packing_from_balls(balls)
-        centers = np.array([b.center for b in packing.balls])
-        radii = np.array([b.radius for b in packing.balls])
-        assert _edges_spatial_grid(centers, radii, 1e-9) == _edges_all_pairs(
-            centers, radii, 1e-9
-        )
+    @pytest.mark.parametrize(
+        "batch", [7, packings.MAX_PAIR_BATCH], ids=["small_batches", "module_batches"]
+    )
+    def test_matches_brute_force(self, rng, monkeypatch, batch):
+        monkeypatch.setattr(packings, "MAX_PAIR_BATCH", batch)
+        cases = [
+            fcc_fragment(3),
+            tangent_chain(rng, axis=0),
+            tangent_chain(rng, axis=1),
+            multiscale_packing(rng),
+        ]
+        for packing in cases:
+            edges = contact_graph(packing).edges
+            assert edges == brute_force_edges(packing)
+            assert len(edges) >= len(packing) - 1
+        radii = [b.radius for b in cases[-1].balls]
+        assert max(radii) / min(radii) >= 1e3
+
+    @pytest.mark.parametrize("base", [0.0, 1e6])
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-3])
+    def test_pairs_at_tolerance_boundary(self, rng, base, tolerance):
+        packing = widest_pairs(rng, base, tolerance)
+        edges = contact_graph(packing).edges
+        assert edges == brute_force_edges(packing)
+        assert edges == tuple((2 * k, 2 * k + 1) for k in range(200))
 
 
 class TestFccFragment:
