@@ -9,14 +9,28 @@ the corner estimate
 
 with the minimum area taken at the lower corner, the K maxima at the
 upper edges (K is non-decreasing), and each angle maximum at one of two
-box corners depending on where 2x + y + z sits relative to pi.  Scanning
-every box of the symmetry-reduced tiling {a <= b <= c} and multiplying
-the overall maximum by 8 rho / (-rho^2 + 4 rho - 3) yields a certified
+box corners depending on where 2x + y + z sits relative to pi.  The
+maximum of this bound over every grid box of the symmetry-reduced tiling
+{a <= b <= c}, multiplied by 8 rho / (-rho^2 + 4 rho - 3), is a certified
 upper bound on the average degree of three-dimensional ball packings.
 
-The scan is deterministic: boxes are enumerated in lexicographic index
-order, the reduction is an associative max, and the resulting certificate
-is byte-identical for any worker count.  The arithmetic is plain IEEE
+The scan finds that maximum without evaluating every grid box.  It bounds
+aligned boxes of side m grid steps (m a power of two) by the same
+estimate, read from the same tables of grid edges, so a coarse box and
+the grid boxes inside it share their corner values bit for bit.  Each
+factor of the estimate is an exact extremum over the box (area and K are
+monotone, and the angle is monotone in the other two radii and unimodal
+in its own), so on a sub-box it can only improve: a grid box's bound never
+exceeds the bound of a box containing it.  The scan bisects top-level
+boxes depth first and drops a box whose bound, raised by a relative
+margin of 1e-12, is below the bound of a grid box already evaluated; no
+grid box inside it can hold the maximum.  The box that does is never
+dropped, so max_box_bound equals the maximum over every grid box bit for
+bit, and boxes_checked counts every grid box, evaluated or dropped.
+
+The scan is deterministic: slabs of top-level boxes are reduced in order,
+the reduction is an exact max, and the resulting certificate is
+byte-identical for any worker count.  The arithmetic is plain IEEE
 double; the certificate is rigorous modulo rounding of the elementary
 functions, which the configurable multiplicative fp_slack makes explicit.
 An interval-arithmetic mode would slot in behind the same interface but
@@ -51,8 +65,12 @@ __all__ = [
 
 DEFAULT_FP_SLACK = 1e-9
 CHECKPOINT_EVERY = 10_000_000
-# cap on elements handled in one vectorized batch, bounds worker memory
-MAX_BATCH = 2_000_000
+# boxes evaluated in one vectorized batch: small enough that the kernel's
+# temporaries stay in cache instead of faulting in fresh pages
+MAX_BATCH = 32_768
+# a box is pruned only when its bound, raised by this relative margin,
+# stays below a grid box's bound
+PRUNE_MARGIN = 1e-12
 
 _AXES = ("x", "y", "z")
 
@@ -81,7 +99,7 @@ class Box:
 
 def _box_edges(geom: RhoGeometry, box: Box):
     lows = (box.a, box.b, box.c)
-    if box.delta <= 0.0:
+    if not box.delta > 0.0:
         raise DomainError(f"box side must be positive, got {box.delta!r}")
     for low in lows:
         if not (geom.alpha_min - 1e-12 <= low < geom.alpha_max):
@@ -191,6 +209,17 @@ def parse_certificate(text: str) -> Certificate:
 # grid scan
 
 
+def _tetra(p: int) -> int:
+    """Number of index triples p0 <= i <= j <= k < p0 + p."""
+    return p * (p + 1) * (p + 2) // 6
+
+
+# the 8 bisection children of a box, as 0/1 steps along each axis
+_CHILD_STEPS = np.array(
+    [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)], dtype=np.int64
+)
+
+
 class _GridScan:
     """Precomputed tables for scanning one (rho, delta) grid.
 
@@ -198,6 +227,12 @@ class _GridScan:
     alpha_max; box (i, j, k) spans [g[i], g[i+1]] x ... The shared box
     kernel runs on grid indices: tables of cos/sin over all pairwise edge
     sums and of K over the edges turn each lookup into a gather.
+
+    The scan walks aligned boxes of side `top` (a power of two, in grid
+    steps) and bisects them down to the grid's own boxes; slab s holds the
+    top-level boxes whose first index starts at s * top.  `floor` is the
+    largest bound among the grid boxes at the centres of the top-level
+    boxes, a lower bound on the grid's maximum that lets the scan prune.
     """
 
     def __init__(self, geom: RhoGeometry, delta: float):
@@ -223,51 +258,88 @@ class _GridScan:
         self.cos_sum = np.cos(sums).ravel()
         self.sin_sum = np.sin(sums).ravel()
         self.stride = n + 1
+        # the largest power of two <= n / 48: about 50 slabs to share out
+        # among workers, and at most 96 top-level boxes along an axis
+        self.top = 1 << max(0, (n // 48).bit_length() - 1)
+        self.slabs = -(-n // self.top)
+        # with top == 1 nothing is pruned, and the probe would evaluate
+        # every grid box
+        self.floor = -math.inf
+        if self.top > 1:
+            self.floor = max(self._probe(s) for s in range(self.slabs))
 
     def total_boxes(self) -> int:
-        n = self.n
-        return n * (n + 1) * (n + 2) // 6
+        return _tetra(self.n)
 
     def _pair(self, fi, fj):
         flat = fi * self.stride + fj
         return self.cos_sum[flat], self.sin_sum[flat]
 
-    def _batch_bounds(self, i, j, k):
-        """Box bounds of boxes (i, j, k), given as grid indices."""
+    def _batch_bounds(self, i, j, k, m=1):
+        """Bounds of the boxes from grid index (i, j, k) to min(index + m, n)
+        on each axis; the upper edges are grid edges, so a box of side m
+        contains exactly the grid boxes inside it."""
+        ui, uj, uk = (np.minimum(v + m, self.n) for v in (i, j, k))
         return _kernels.box_density_upper_vec(
-            self.geom, i, j, k, i + 1, j + 1, k + 1,
+            self.geom, i, j, k, ui, uj, uk,
             pair=self._pair, coord=self.g.__getitem__, k_of=self.k_edge.__getitem__,
         )
 
-    def slab_max(self, i: int):
-        """Max bound over all boxes (i, j, k) with i <= j <= k.
+    def _top_boxes(self, slab: int):
+        """Lower indices of the top-level boxes of one slab, j <= k."""
+        lows = np.arange(slab * self.top, self.n, self.top, dtype=np.int64)
+        j, k = np.triu_indices(lows.size)
+        return np.full(j.size, slab * self.top), lows[j], lows[k]
 
-        Returns (max_bound, box_count, argmax_indices); processes the
-        triangular (j, k) block in batches of at most MAX_BATCH boxes.
+    def _probe(self, slab: int) -> float:
+        """Largest bound among the grid boxes at the centres of the slab's
+        top-level boxes (NaN bounds are skipped)."""
+        centres = (np.minimum(v + self.top // 2, self.n - 1) for v in self._top_boxes(slab))
+        bounds = self._batch_bounds(*centres)
+        return float(np.fmax.reduce(bounds, initial=-np.inf))
+
+    def _children(self, m: int, i, j, k):
+        """The children of side m // 2 that hold grid boxes with
+        i <= j <= k, in batches of at most MAX_BATCH."""
+        half = m // 2
+        step = MAX_BATCH // len(_CHILD_STEPS)
+        for s in range(0, i.size, step):
+            ci, cj, ck = (
+                (v[s:s + step, None] + half * _CHILD_STEPS[:, axis]).ravel()
+                for axis, v in enumerate((i, j, k))
+            )
+            keep = (ci <= cj) & (cj <= ck) & (ck < self.n)
+            yield half, ci[keep], cj[keep], ck[keep]
+
+    def slab_max(self, slab: int):
+        """Max bound over the grid boxes (i, j, k), i <= j <= k, with
+        slab * top <= i < (slab + 1) * top.
+
+        Returns (max_bound, box_count, argmax_indices).  Each top-level box
+        is bisected depth-first; a box is pruned when its bound stays below
+        the larger of `floor` and the slab's running maximum by the margin
+        PRUNE_MARGIN, since no grid box inside it can then hold the grid's
+        maximum.  box_count is every grid box of the slab, pruned or not.
         """
-        n = self.n
+        n, top = self.n, self.top
+        lo, hi = slab * top, min((slab + 1) * top, n)
         best = -np.inf
-        best_idx = (i, i, i)
-        count = 0
-        row = i
-        while row < n:
-            rows = [row]
-            size = n - row
-            while row + 1 < n and size + (n - row - 1) <= MAX_BATCH:
-                row += 1
-                rows.append(row)
-                size += n - row
-            row += 1
-            j = np.concatenate([np.full(n - r, r, dtype=np.int64) for r in rows])
-            k = np.concatenate([np.arange(r, n, dtype=np.int64) for r in rows])
-            bounds = self._batch_bounds(i, j, k)
-            pos = int(np.argmax(bounds))
-            value = float(bounds[pos])
-            if value > best:
-                best = value
-                best_idx = (i, int(j[pos]), int(k[pos]))
-            count += bounds.size
-        return best, count, best_idx
+        best_idx = (lo, lo, lo)
+        stack = [(top, *self._top_boxes(slab))]
+        while stack:
+            m, i, j, k = stack.pop()
+            bounds = self._batch_bounds(i, j, k, m)
+            if m == 1:
+                pos = int(np.argmax(bounds))
+                value = float(bounds[pos])
+                if value > best:
+                    best = value
+                    best_idx = (int(i[pos]), int(j[pos]), int(k[pos]))
+                continue
+            # NaN and inf bounds compare False here, so they are refined
+            keep = ~(bounds * (1.0 + PRUNE_MARGIN) < max(self.floor, best))
+            stack.extend(self._children(m, i[keep], j[keep], k[keep]))
+        return best, _tetra(n - lo) - _tetra(n - hi), best_idx
 
 
 _SCAN_STATE: _GridScan | None = None
@@ -295,14 +367,17 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-# checkpoint floats are stored as hex to survive JSON round-trips exactly
-def _checkpoint_params(rho, delta, target, fp_slack, n):
+# checkpoint floats are stored as hex to survive JSON round-trips exactly;
+# "scan" and "top" fix what a slab index means
+def _checkpoint_params(rho, delta, target, fp_slack, scan):
     return {
         "rho": float(rho).hex(),
         "delta": float(delta).hex(),
         "target": float(target).hex(),
         "fp_slack": float(fp_slack).hex(),
-        "n": n,
+        "n": scan.n,
+        "scan": "levels",
+        "top": scan.top,
     }
 
 
@@ -320,21 +395,38 @@ def _write_checkpoint(path, params, next_slab, boxes_done, max_so_far, argmax):
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, params):
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
+def _read_checkpoint(path, params, slabs):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except ValueError as exc:
+        raise CertificateError(f"checkpoint {path!r} is not JSON") from exc
+    if not isinstance(state, dict):
+        raise CertificateError(f"checkpoint {path!r} is not a JSON object")
     for key, value in params.items():
         if state.get(key) != value:
             raise CertificateError(
                 f"checkpoint {path!r} was written for different parameters "
                 f"({key} mismatch)"
             )
-    return (
-        int(state["next_slab"]),
-        int(state["boxes_done"]),
-        float.fromhex(state["max_so_far"]),
-        tuple(state["argmax"]),
-    )
+    try:
+        next_slab, boxes_done = state["next_slab"], state["boxes_done"]
+        max_so_far = float.fromhex(state["max_so_far"])
+        argmax = tuple(state["argmax"])
+        valid = (
+            type(next_slab) is int
+            and 0 <= next_slab <= slabs
+            and type(boxes_done) is int
+            and boxes_done >= 0
+            and not math.isnan(max_so_far)
+            and len(argmax) == 3
+            and all(type(v) is int for v in argmax)
+        )
+    except (KeyError, TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise CertificateError(f"checkpoint {path!r} has a missing or ill-typed field")
+    return next_slab, boxes_done, max_so_far, argmax
 
 
 def certify(
@@ -347,12 +439,13 @@ def certify(
     checkpoint_every: int = CHECKPOINT_EVERY,
     on_progress=None,
 ) -> Certificate:
-    """Scan every box of the symmetry-reduced subdivision and certify.
+    """Bound every box of the symmetry-reduced subdivision and certify.
 
-    Deterministic for any worker count: slabs with fixed first index are
+    Deterministic for any worker count: slabs of top-level boxes are
     reduced in order, and the max reduction is exact.  When
     checkpoint_path exists and matches the parameters, the scan resumes
-    after the last completed slab; the file is removed on completion.
+    after the last completed slab; the file is removed on completion, and
+    one that is not a checkpoint of this scan raises CertificateError.
 
     Returns the Certificate; passed is True iff
     max_box_bound * objective_factor(rho) * (1 + fp_slack) < target.
@@ -363,21 +456,20 @@ def certify(
         raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
     geom = rho_geometry(rho)
     scan = _GridScan(geom, delta)
-    n = scan.n
     total = scan.total_boxes()
     workers = _resolve_workers(workers)
 
-    params = _checkpoint_params(rho, delta, target, fp_slack, n)
+    params = _checkpoint_params(rho, delta, target, fp_slack, scan)
     start_slab, boxes_done, max_so_far, argmax = 0, 0, -math.inf, (0, 0, 0)
     if checkpoint_path and os.path.exists(checkpoint_path):
         start_slab, boxes_done, max_so_far, argmax = _read_checkpoint(
-            checkpoint_path, params
+            checkpoint_path, params, scan.slabs
         )
 
     global _SCAN_STATE
     _SCAN_STATE = scan
     since_checkpoint = 0
-    slabs = range(start_slab, n)
+    slabs = range(start_slab, scan.slabs)
     try:
         with contextlib.ExitStack() as stack:
             if workers == 1 or not slabs:
@@ -385,7 +477,7 @@ def certify(
             else:
                 ctx = multiprocessing.get_context("fork")
                 pool = stack.enter_context(ctx.Pool(processes=workers))
-                results = pool.imap(_scan_slab, slabs, chunksize=4)
+                results = pool.imap(_scan_slab, slabs, chunksize=1)
             for i, (value, count, idx) in zip(slabs, results):
                 if value > max_so_far:
                     max_so_far = value

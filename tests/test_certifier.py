@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from kissbound import (
     Box,
+    SearchConfig,
     Certificate,
     CertificateError,
     DomainError,
@@ -13,6 +15,7 @@ from kissbound import (
     box_density_upper,
     certify,
     emit_certificate,
+    max_density,
     objective_factor,
     parse_certificate,
     rho_geometry,
@@ -25,7 +28,7 @@ from kissbound._kernels import (
     triangle_excess_vec,
     triangle_angles_vec,
 )
-from kissbound.certifier import _GridScan
+from kissbound.certifier import _GridScan, _checkpoint_params
 
 RHO = 1.755
 GEOM = rho_geometry(RHO)
@@ -93,6 +96,14 @@ class TestBoxAngleUpper:
     def test_box_outside_domain(self):
         with pytest.raises(DomainError):
             box_angle_upper(GEOM, Box(0.01, 0.3, 0.3, 0.01), "x")
+
+    @pytest.mark.parametrize("side", [math.nan, 0.0, -0.01])
+    def test_side_not_positive_rejected(self, side):
+        box = Box(0.3, 0.3, 0.3, side)
+        with pytest.raises(DomainError, match="side"):
+            box_angle_upper(GEOM, box, "x")
+        with pytest.raises(DomainError, match="side"):
+            box_density_upper(GEOM, box)
 
 
 class TestBoxDensityUpper:
@@ -188,6 +199,93 @@ class TestMonotonicityClaims:
         assert np.all(ax_dy >= ax - tol)
         assert np.all(ax_dz >= ax - tol)
 
+    def test_angle_monotonicity_above_pi(self, rng):
+        # claim behind the all-high-corner rule: on 2x+y+z >= pi the angle
+        # at x increases in each radius
+        count = 200_000
+        h = 1e-6
+        margin = 0.02
+        x, y, z = rng.uniform(GEOM.alpha_min, GEOM.alpha_max - h, size=(3, count))
+        keep = 2.0 * x + y + z >= math.pi + margin
+        x, y, z = x[keep], y[keep], z[keep]
+        assert x.size > 5_000
+        (ax, _, _), _ = triangle_angles_vec(x, y, z)
+        (ax_dx, _, _), _ = triangle_angles_vec(x + h, y, z)
+        (ax_dy, _, _), _ = triangle_angles_vec(x, y + h, z)
+        (ax_dz, _, _), _ = triangle_angles_vec(x, y, z + h)
+        tol = 1e-12
+        assert np.all(ax_dx >= ax - tol)
+        assert np.all(ax_dy >= ax - tol)
+        assert np.all(ax_dz >= ax - tol)
+
+    @pytest.mark.parametrize("delta", [0.004, 0.002])
+    def test_grid_box_at_density_argmax(self, delta):
+        # the grid box holding max_density's argmax (x = y ~ 0.26309,
+        # z = alpha_max) bounds the maximum density from above
+        result = max_density(GEOM, SearchConfig(grid_step=0.1))
+        assert result.max_density >= 0.93118971
+        scan = _GridScan(GEOM, delta)
+        idx = np.minimum(np.searchsorted(scan.g, result.argmax, side="right") - 1, scan.n - 1)
+        assert np.all(scan.g[idx] <= result.argmax)
+        assert np.all(np.asarray(result.argmax) <= scan.g[idx + 1])
+        bound = float(scan._batch_bounds(*idx))
+        assert bound >= 0.93118972
+        assert bound >= result.max_density
+
+
+def _exhaustive_max(scan):
+    """Max over every grid box i <= j <= k, one first index at a time, and
+    the first box that holds it."""
+    best, best_idx = -math.inf, None
+    for i in range(scan.n):
+        j, k = np.triu_indices(scan.n - i)
+        bounds = scan._batch_bounds(i, j + i, k + i)
+        pos = int(np.argmax(bounds))
+        if bounds[pos] > best:
+            best, best_idx = float(bounds[pos]), (i, int(j[pos] + i), int(k[pos] + i))
+    return best, best_idx
+
+
+class TestLevelScan:
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_children_bounded_by_parent(self, m):
+        # refinement monotonicity, the property pruning rests on: every
+        # aligned child of side m / 2 is bounded by its parent of side m
+        scan = _GridScan(GEOM, 0.004)
+        n, half = scan.n, m // 2
+        lows = np.arange(0, n, m)
+        i, j, k = (v.ravel() for v in np.meshgrid(lows, lows, lows, indexing="ij"))
+        sorted_ = (i <= j) & (j <= k)
+        i, j, k = i[sorted_], j[sorted_], k[sorted_]
+        parents = scan._batch_bounds(i, j, k, m)
+        assert np.all(np.isfinite(parents))
+        for di in (0, half):
+            for dj in (0, half):
+                for dk in (0, half):
+                    ci, cj, ck = i + di, j + dj, k + dk
+                    inside = np.maximum(np.maximum(ci, cj), ck) < n
+                    children = scan._batch_bounds(ci[inside], cj[inside], ck[inside], half)
+                    assert np.all(children <= parents[inside] * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("delta", [0.01, 0.004])
+    def test_matches_exhaustive_scan(self, delta, workers):
+        scan = _GridScan(GEOM, delta)
+        cert = certify(RHO, delta, 14.5, workers=workers)
+        assert cert.max_box_bound.hex() == _exhaustive_max(scan)[0].hex()
+        assert cert.boxes_checked == scan.total_boxes()
+
+    def test_box_at_threshold_is_refined(self):
+        # a parent whose bound equals the pruning threshold is bisected, so
+        # the grid box below it that holds the maximum is still found
+        scan = _GridScan(GEOM, 0.004)
+        best, (i, j, k) = _exhaustive_max(scan)
+        scan.floor = float(scan._batch_bounds(i // 2 * 2, j // 2 * 2, k // 2 * 2, 2))
+        assert scan.floor > best
+        value, _, idx = scan.slab_max(i // scan.top)
+        assert value == best
+        assert idx == (i, j, k)
+
 
 class TestCertify:
     def test_small_run_reproducible_fields(self):
@@ -234,7 +332,7 @@ class TestCertify:
         assert mid.certified_bound <= coarse.certified_bound + 1e-9
 
     @staticmethod
-    def _crash_and_resume(path, workers):
+    def _crash_and_resume(path, workers, delta=0.01):
         calls = [0]
 
         def interrupt(done, total):
@@ -245,7 +343,7 @@ class TestCertify:
         with pytest.raises(RuntimeError):
             certify(
                 RHO,
-                0.01,
+                delta,
                 14.5,
                 workers=workers,
                 checkpoint_path=path,
@@ -254,7 +352,7 @@ class TestCertify:
             )
         assert os.path.exists(path)
         resumed = certify(
-            RHO, 0.01, 14.5, workers=workers, checkpoint_path=path, checkpoint_every=2_000
+            RHO, delta, 14.5, workers=workers, checkpoint_path=path, checkpoint_every=2_000
         )
         assert not os.path.exists(path)
         return resumed
@@ -267,6 +365,13 @@ class TestCertify:
     def test_checkpoint_resume_identical_pool(self, tmp_path):
         reference = certify(RHO, 0.01, 14.5, workers=1)
         resumed = self._crash_and_resume(str(tmp_path / "scan.ckpt"), workers=2)
+        assert emit_certificate(resumed) == emit_certificate(reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_resume_identical_levels(self, tmp_path, workers):
+        # at delta 0.004 the slabs are four grid rows deep and pruned
+        reference = certify(RHO, 0.004, 14.5, workers=1)
+        resumed = self._crash_and_resume(str(tmp_path / "scan.ckpt"), workers, delta=0.004)
         assert emit_certificate(resumed) == emit_certificate(reference)
 
     def test_checkpoint_parameter_mismatch(self, tmp_path):
@@ -288,6 +393,28 @@ class TestCertify:
         assert os.path.exists(path)
         with pytest.raises(CertificateError):
             certify(RHO, 0.02, 14.5, workers=1, checkpoint_path=path)
+
+    @staticmethod
+    def _checkpoint_text(kind):
+        if kind == "garbage":
+            return "garbage"
+        if kind == "list":
+            return "[1, 2]"
+        state = _checkpoint_params(RHO, 0.01, 14.5, 1e-9, _GridScan(GEOM, 0.01))
+        state.update(next_slab=3, boxes_done=10_000, max_so_far=(0.9).hex(), argmax=[0, 0, 0])
+        if kind == "uniform":
+            # the uniform row scan's format, whose slabs were single rows
+            del state["scan"], state["top"]
+        else:
+            state["next_slab"] = "3"
+        return json.dumps(state)
+
+    @pytest.mark.parametrize("kind", ["garbage", "list", "uniform", "ill_typed"])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, kind):
+        path = tmp_path / "scan.ckpt"
+        path.write_text(self._checkpoint_text(kind), encoding="utf-8")
+        with pytest.raises(CertificateError, match="checkpoint"):
+            certify(RHO, 0.01, 14.5, workers=1, checkpoint_path=str(path))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

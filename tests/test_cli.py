@@ -312,6 +312,26 @@ class TestCertify:
         assert not (tmp_path / "c.txt.meta.json").exists()
 
 
+    @pytest.mark.parametrize("content", ["garbage", "[1,2]"])
+    def test_corrupt_checkpoint_exit_four(self, capsys, tmp_path, content):
+        checkpoint = tmp_path / "scan.ckpt"
+        checkpoint.write_text(content, encoding="utf-8")
+        out_path = tmp_path / "c.txt"
+        code, _, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--target", "14.5",
+            "--delta", "0.01",
+            "--workers", "1",
+            "--output", str(out_path),
+            "--checkpoint", str(checkpoint),
+        )
+        assert code == 4
+        assert "checkpoint" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
     def test_oversized_grid_exit_four(self, capsys, tmp_path):
         out_path = tmp_path / "c.txt"
         code, _, err = run(
