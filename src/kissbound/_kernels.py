@@ -1,29 +1,31 @@
-"""Vectorized numpy kernels: the single implementation of the box bound.
+"""Vectorized numpy kernels: the single implementation of the cap geometry.
 
-The coordinate path (the `Box` API and the property tests), the density
-search (`density.max_density`, through `density_vec`) and the grid scan
-evaluate the spherical law of cosines, the 2x + y + z vs pi corner rule,
-the lower-corner area and the final quotient here.  The kernels see
+Every path evaluates the spherical law of cosines, the vertex arccos, the
+angular excess, the cap area K, the 2x + y + z vs pi corner rule, the
+lower-corner area and the final quotient here: the grid scan, the `Box`
+API, the density search (`density.max_density`, through `density_vec`)
+and the scalar API (`caps.triangle_angles`, `caps.cap_area_K`,
+`density.density`), which adds its domain checks on top.  The kernels see
 corners only through providers: `pair(u, v)` gives cos and sin of the
 side u + v, `coord(u)` the cap radius and `k_of(u)` the cap area K at u.
 The defaults compute all three from radii; the grid scan passes grid
 indices with table lookups, so both paths share every expression.
 
-These mirror the scalar formulas in `caps` exactly (same expressions, same
-evaluation order) so that scalar and vector paths produce identical IEEE
-results.  Invalid spherical-triangle configurations are handled in the
-direction that keeps box bounds sound: angle upper bounds degrade to pi,
-area lower bounds degrade to NaN, which the box bound turns into +inf.
+Invalid spherical-triangle configurations are handled in the direction
+that keeps box bounds sound: angle upper bounds degrade to pi, area lower
+bounds degrade to NaN, which the box bound turns into +inf.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .caps import RhoGeometry
+if TYPE_CHECKING:
+    from .caps import RhoGeometry
 
 ANGLE_GUARD = 1e-9
 
@@ -45,38 +47,43 @@ def _angle_arg(cos_opp, cos_s2, cos_s3, sin_s2, sin_s3):
     return (cos_opp - cos_s2 * cos_s3) / (sin_s2 * sin_s3)
 
 
-def triangle_angles_vec(x, y, z, pair=_trig_of_sum):
-    """Vertex angles of the tangent-cap triangle with radii (x, y, z).
+def triangle_args_vec(x, y, z, pair=_trig_of_sum):
+    """Law-of-cosines arccos arguments at the vertices x, y, z, unclipped."""
+    cos_yz, sin_yz = pair(y, z)
+    cos_xz, sin_xz = pair(x, z)
+    cos_xy, sin_xy = pair(x, y)
+    return (
+        _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy),
+        _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz),
+        _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz),
+    )
+
+
+def angles_of_args(args):
+    """Vertex angles from the raw arguments of `triangle_args_vec`.
 
     Arguments are clipped into [-1, 1]; entries whose raw argument lies
     beyond the guard are reported through the validity mask (second return
     value) instead of being silently repaired.
     """
-    cos_yz, sin_yz = pair(y, z)
-    cos_xz, sin_xz = pair(x, z)
-    cos_xy, sin_xy = pair(x, y)
-    arg_x = _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy)
-    arg_y = _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz)
-    arg_z = _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz)
-    valid = (
-        (np.abs(arg_x) <= 1.0 + ANGLE_GUARD)
-        & (np.abs(arg_y) <= 1.0 + ANGLE_GUARD)
-        & (np.abs(arg_z) <= 1.0 + ANGLE_GUARD)
-    )
-    ax = np.arccos(np.clip(arg_x, -1.0, 1.0))
-    ay = np.arccos(np.clip(arg_y, -1.0, 1.0))
-    az = np.arccos(np.clip(arg_z, -1.0, 1.0))
-    return (ax, ay, az), valid
+    valid = functools.reduce(np.logical_and, [np.abs(arg) <= 1.0 + ANGLE_GUARD for arg in args])
+    return tuple(np.arccos(np.clip(arg, -1.0, 1.0)) for arg in args), valid
 
 
-def _excess(angles, valid):
+def triangle_angles_vec(x, y, z, pair=_trig_of_sum):
+    """Vertex angles of the tangent-cap triangle with radii (x, y, z), and validity."""
+    return angles_of_args(triangle_args_vec(x, y, z, pair))
+
+
+def excess_vec(angles, valid):
+    """Angular excess (triangle area) of vertex angles; NaN where invalid."""
     ax, ay, az = angles
     return np.where(valid, ax + ay + az - PI, np.nan)
 
 
 def triangle_excess_vec(x, y, z, pair=_trig_of_sum):
     """Angular excess (triangle area); NaN where the geometry is invalid."""
-    return _excess(*triangle_angles_vec(x, y, z, pair))
+    return excess_vec(*triangle_angles_vec(x, y, z, pair))
 
 
 def K_vec(geom: RhoGeometry, alpha):
@@ -91,11 +98,8 @@ def K_vec(geom: RhoGeometry, alpha):
 
 def density_vec(geom: RhoGeometry, x, y, z):
     """Cap-triangle density D(x, y, z); NaN where degenerate or invalid."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     angles, valid = triangle_angles_vec(x, y, z)
-    area = _excess(angles, valid)
+    area = excess_vec(angles, valid)
     ax, ay, az = angles
     num = K_vec(geom, x) * ax + K_vec(geom, y) * ay + K_vec(geom, z) * az
     with np.errstate(divide="ignore", invalid="ignore"):

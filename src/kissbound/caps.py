@@ -11,7 +11,9 @@ A ball tangent to B cuts a circular cap out of S_rho(B); this module provides
   the area of the actual coverage cap,
 * spherical triangle angles and area for triples of mutually tangent caps.
 
-All angles are radians, all areas are steradians on the unit sphere. The
+K and the triangle are evaluated by `_kernels`, on the expressions the
+certifier and the density search run, so both give the same bits.  All
+angles are radians, all areas are steradians on the unit sphere.  The
 functions are pure and hold no shared state, so they are safe to call from
 any number of threads.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _kernels
 from .errors import DegenerateTriangleError, DomainError
 
 __all__ = [
@@ -41,19 +44,16 @@ __all__ = [
 # close to degenerate; anything beyond this guard is invalid geometry.
 ACOS_GUARD = 1e-12
 
-TWO_PI = 2.0 * math.pi
+
+def _checked_acos_arg(value: float) -> float:
+    # NaN fails the test too: it comes from sides whose sines underflow
+    if not abs(value) <= 1.0 + ACOS_GUARD:
+        raise DomainError(f"arccos argument {value!r} outside [-1, 1] beyond guard")
+    return value
 
 
-def _safe_acos(value: float, guard: float = ACOS_GUARD) -> float:
-    if value > 1.0:
-        if value > 1.0 + guard:
-            raise DomainError(f"arccos argument {value!r} exceeds 1 beyond guard")
-        return 0.0
-    if value < -1.0:
-        if value < -1.0 - guard:
-            raise DomainError(f"arccos argument {value!r} below -1 beyond guard")
-        return math.pi
-    return math.acos(value)
+def _safe_acos(value: float) -> float:
+    return math.acos(min(max(_checked_acos_arg(value), -1.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,16 @@ class RhoGeometry:
 
 def rho_geometry(rho: float) -> RhoGeometry:
     """Build the RhoGeometry constants for an inflation ratio rho in (1, 3)."""
-    _check_rho_open_interval(rho)
+    check_rho(rho)
     alpha_max = math.acos(1.0 / rho)
     alpha_min = math.acos((3.0 - rho) / (1.0 + rho)) - alpha_max
     alpha_zero = math.acos((3.0 * rho * rho + 1.0) / (rho * (rho * rho + 3.0)))
     return RhoGeometry(rho, alpha_min, alpha_zero, alpha_max)
 
 
-def _check_rho_open_interval(rho: float) -> None:
-    if not (1.0 < rho < 3.0) or not math.isfinite(rho):
+def check_rho(rho: float) -> None:
+    """Raise DomainError unless 1 < rho < 3, which also rejects NaN and inf."""
+    if not (1.0 < rho < 3.0):
         raise DomainError(f"inflation ratio must lie in (1, 3), got {rho!r}")
 
 
@@ -135,7 +136,7 @@ def pair_sum_value(rho: float) -> float:
 
     Depends on rho alone: (-rho^2 + 4 rho - 3) / (4 rho).
     """
-    _check_rho_open_interval(rho)
+    check_rho(rho)
     return (-rho * rho + 4.0 * rho - 3.0) / (4.0 * rho)
 
 
@@ -145,7 +146,7 @@ def pair_sum(rho: float, r1: float, r2: float) -> float:
     Equals pair_sum_value(rho) exactly when both intersections are
     non-empty and exceeds it when one cap is empty.
     """
-    _check_rho_open_interval(rho)
+    check_rho(rho)
     return coverage_fraction(rho, r1, r2) + coverage_fraction(rho, r2, r1)
 
 
@@ -208,11 +209,7 @@ def cap_area_K(geom: RhoGeometry, alpha: float) -> float:
         raise DomainError(
             f"cap radius {alpha!r} outside [{geom.alpha_min!r}, {geom.alpha_max!r}]"
         )
-    if alpha >= geom.alpha_zero:
-        return TWO_PI * (1.0 - math.cos(alpha))
-    rho = geom.rho
-    cone_cos = math.cos(alpha) / rho - math.sqrt(1.0 - 1.0 / (rho * rho)) * math.sin(alpha)
-    return TWO_PI * (1.0 - ((rho * rho - 1.0) * (cone_cos + 1.0) + 4.0) / (4.0 * rho))
+    return float(_kernels.K_vec(geom, alpha))
 
 
 @dataclass(frozen=True)
@@ -233,35 +230,26 @@ class TriangleAngles:
     area: float
 
 
-def triangle_angles(
-    x: float, y: float, z: float, guard: float = ACOS_GUARD
-) -> TriangleAngles:
+def triangle_angles(x: float, y: float, z: float) -> TriangleAngles:
     """Spherical law of cosines angles for cap radii (x, y, z).
 
-    Requires positive radii with all pairwise side sums below pi.  Raises
+    Requires positive radii with all pairwise side sums below pi, and
+    arccos arguments within the round-off guard of [-1, 1].  Raises
     DegenerateTriangleError when the angular excess is not positive beyond
-    the round-off guard.
+    the guard, and clamps it to zero within the guard.
     """
     if not (x > 0.0 and y > 0.0 and z > 0.0):
         raise DomainError(f"cap radii must be positive, got {(x, y, z)!r}")
-    side_yz = y + z
-    side_xz = x + z
-    side_xy = x + y
-    if max(side_yz, side_xz, side_xy) >= math.pi:
-        raise DomainError(
-            f"triangle sides must stay below pi, got {(side_yz, side_xz, side_xy)!r}"
-        )
-    cos_yz, sin_yz = math.cos(side_yz), math.sin(side_yz)
-    cos_xz, sin_xz = math.cos(side_xz), math.sin(side_xz)
-    cos_xy, sin_xy = math.cos(side_xy), math.sin(side_xy)
-    angle_x = _safe_acos((cos_yz - cos_xz * cos_xy) / (sin_xz * sin_xy), guard)
-    angle_y = _safe_acos((cos_xz - cos_xy * cos_yz) / (sin_xy * sin_yz), guard)
-    angle_z = _safe_acos((cos_xy - cos_xz * cos_yz) / (sin_xz * sin_yz), guard)
-    excess = angle_x + angle_y + angle_z - math.pi
+    sides = (y + z, x + z, x + y)
+    if max(sides) >= math.pi:
+        raise DomainError(f"triangle sides must stay below pi, got {sides!r}")
+    args = [_checked_acos_arg(float(arg)) for arg in _kernels.triangle_args_vec(x, y, z)]
+    angles, valid = _kernels.angles_of_args(args)
+    excess = float(_kernels.excess_vec(angles, valid))
     if excess <= 0.0:
-        if excess < -guard:
+        if excess < -ACOS_GUARD:
             raise DegenerateTriangleError(
                 f"triangle {(x, y, z)!r} has non-positive excess {excess!r}"
             )
         excess = 0.0
-    return TriangleAngles(x, y, z, angle_x, angle_y, angle_z, excess)
+    return TriangleAngles(x, y, z, *map(float, angles), excess)

@@ -33,8 +33,6 @@ the reduction is an exact max, and the resulting certificate is
 byte-identical for any worker count.  The arithmetic is plain IEEE
 double; the certificate is rigorous modulo rounding of the elementary
 functions, which the configurable multiplicative fp_slack makes explicit.
-An interval-arithmetic mode would slot in behind the same interface but
-is not built.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .caps import RhoGeometry, rho_geometry
+from .caps import RhoGeometry, check_rho, rho_geometry
 from .errors import CertificateError, DomainError
 
 __all__ = [
@@ -77,8 +75,7 @@ _AXES = ("x", "y", "z")
 
 def objective_factor(rho: float) -> float:
     """Conversion from max density to the average-degree objective."""
-    if not (1.0 < rho < 3.0):
-        raise DomainError(f"inflation ratio must lie in (1, 3), got {rho!r}")
+    check_rho(rho)
     return 8.0 * rho / (-rho * rho + 4.0 * rho - 3.0)
 
 

@@ -125,8 +125,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"sweep interval must satisfy 1 < lo <= hi < 3, "
             f"got [{args.rho_lo:g}, {args.rho_hi:g}]"
         )
-    if not args.step > 0.0:
-        raise _UsageError(f"step must be positive, got {args.step:g}")
+    if not 0.0 < args.step < math.inf:
+        raise _UsageError(f"step must be positive and finite, got {args.step:g}")
     _resolve_worker_arg(args)
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
     results = sweep_rho(

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import density_vec
-from .caps import RhoGeometry, TriangleAngles, cap_area_K, rho_geometry, triangle_angles
+from .caps import RhoGeometry, TriangleAngles, rho_geometry, triangle_angles
 from .certifier import _resolve_workers, objective_factor
 from .errors import DegenerateTriangleError, DomainError, KissboundError
 
@@ -114,12 +114,7 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
     canonical = triangle_angles(sx, sy, sz)
     if canonical.area <= 0.0:
         raise DomainError(f"triangle {(x, y, z)!r} has zero area")
-    num = (
-        cap_area_K(geom, sx) * canonical.angle_x
-        + cap_area_K(geom, sy) * canonical.angle_y
-        + cap_area_K(geom, sz) * canonical.angle_z
-    )
-    value = num / (2.0 * math.pi * canonical.area)
+    value = float(density_vec(geom, sx, sy, sz))
     angle = dict(zip(order, (canonical.angle_x, canonical.angle_y, canonical.angle_z)))
     angles = TriangleAngles(x, y, z, angle[0], angle[1], angle[2], canonical.area)
     return TriangleDensity(x, y, z, angles, value)
@@ -275,14 +270,22 @@ def pruning_interval(
     return crossing(lo, left_in), crossing(hi, right_in)
 
 
+# the most inflation ratios one sweep may search
+MAX_RHO_RATIOS = 10**6
+
+
 def _rho_grid(rho_lo: float, rho_hi: float, step: float) -> list[float]:
     if not (1.0 < rho_lo <= rho_hi < 3.0):
         raise DomainError(
             f"sweep interval must satisfy 1 < lo <= hi < 3, got {(rho_lo, rho_hi)!r}"
         )
-    if not step > 0.0:
-        raise DomainError(f"sweep step must be positive, got {step!r}")
-    count = int(math.floor((rho_hi - rho_lo) / step + 1e-9)) + 1
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"sweep step must be positive and finite, got {step!r}")
+    # floor(cells) + 1 ratios, so at most MAX_RHO_RATIOS exactly when cells is below it
+    cells = (rho_hi - rho_lo) / step + 1e-9
+    if not cells < MAX_RHO_RATIOS:
+        raise DomainError(f"sweep step {step!r} gives more than {MAX_RHO_RATIOS} ratios")
+    count = int(math.floor(cells)) + 1
     return [rho_lo + i * step for i in range(count)]
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .caps import check_rho
 from .errors import DomainError
 
 __all__ = [
@@ -141,8 +142,7 @@ def f_d(d: int, rho: float, panels: int | None = None) -> float:
     Maximal over rho at rho = sqrt(3); tends to 0 at both ends of (1, 3).
     """
     _check_dimension(d)
-    if not (1.0 < rho < 3.0):
-        raise DomainError(f"inflation ratio must lie in (1, 3), got {rho!r}")
+    check_rho(rho)
     cos_cap = (rho * rho + 3.0) / (4.0 * rho)
     upper = 1.0 - cos_cap * cos_cap
     return profile_integral(d, upper, panels) / profile_integral(d, 1.0, panels)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import coverage_fraction, pair_sum_value
+from .caps import check_rho, coverage_fraction, pair_sum_value
 from .errors import DomainError, OverlapError, PackingParseError
 
 __all__ = [
@@ -46,6 +46,9 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-9
 # candidate pairs per distance batch, which bounds the sweep's temporaries
 MAX_PAIR_BATCH = 8_192
+# largest coordinate or radius magnitude: squared distances of such balls
+# stay far below the float64 overflow threshold
+MAX_MAGNITUDE = 1e150
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,12 @@ def packing_from_balls(
         raise DomainError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     packing = Packing(balls=tuple(balls), tolerance=tolerance)
     centers, radii = _centers_radii(packing)
+    largest = float(max(np.abs(centers).max(initial=0.0), np.abs(radii).max(initial=0.0)))
+    if largest > MAX_MAGNITUDE:
+        raise DomainError(
+            f"coordinates and radii must not exceed {MAX_MAGNITUDE:g} in magnitude, "
+            f"got {largest!r}"
+        )
     overlaps = []
     for i, j, dist in _close_pairs(centers, radii, tolerance):
         bad = dist < (radii[i] + radii[j]) * (1.0 - tolerance)
@@ -260,8 +269,7 @@ def coverage_audit(
     Violations are reported, not raised: a true violation would falsify
     the implementation, not the packing.
     """
-    if not (1.0 < rho < 3.0):
-        raise DomainError(f"inflation ratio must lie in (1, 3), got {rho!r}")
+    check_rho(rho)
     graph = contact_graph(packing)
     sums = [0.0] * len(packing)
     edge_sum = 0.0

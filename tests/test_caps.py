@@ -334,6 +334,9 @@ class TestTriangleAngles:
             triangle_angles(-0.1, 0.2, 0.2)
         with pytest.raises(DomainError):
             triangle_angles(1.6, 1.6, 0.2)
+        # the sines of these sides underflow, so the arccos arguments are 0/0
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(DomainError):
+            triangle_angles(1e-200, 1e-200, 1e-200)
 
     def test_noise_scale_triangle_clamps_or_raises(self):
         # at float-noise scale the excess may round either way; the

@@ -174,6 +174,21 @@ class TestOptimize:
         assert "prune" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("step, code", [("inf", 2), ("1e-300", 4)])
+    def test_unusable_step_rejected(self, capsys, step, code):
+        exit_code, out, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.7",
+            "--rho-hi", "1.8",
+            "--step", step,
+            "--workers", "1",
+        )
+        assert exit_code == code
+        assert out == ""
+        assert "step" in err
+        assert "Traceback" not in err
+
     def test_invalid_interval_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--rho-lo", "1.8", "--rho-hi", "1.7", "--step", "0.01")
         assert code == 2
@@ -386,6 +401,20 @@ class TestGraph:
         assert code == 4
         assert out == ""
         assert "tolerance" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spacing", [1e160, 2e160])
+    def test_huge_magnitude_exit_four(self, capsys, tmp_path, spacing):
+        balls = [
+            {"center": [0, 0, 0], "radius": 1e160},
+            {"center": [spacing, 0, 0], "radius": 1e160},
+        ]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"balls": balls}), encoding="utf-8")
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 4
+        assert out == ""
+        assert "magnitude" in err
         assert "Traceback" not in err
 
     def test_parse_error_exit_three(self, capsys):

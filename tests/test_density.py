@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -23,6 +24,11 @@ from kissbound import (
 from kissbound._kernels import density_vec
 from kissbound.density import SWEEP_CSV_HEADER, _neg_density, _wedge_grid
 
+import mp_oracle
+
+# the package exports the function `density` under the module's name
+density_module = importlib.import_module("kissbound.density")
+
 SQRT3 = math.sqrt(3.0)
 
 # frozen from an independent 50-digit evaluation of the density formula
@@ -43,25 +49,10 @@ class TestDensity:
         assert abs(objective - EQUILATERAL_OBJECTIVE_1_755) < 1e-11
 
     def test_equilateral_golden_value_high_precision_oracle(self):
-        # independent 50-digit reimplementation of the whole formula chain
-        import mpmath as mp
-
-        with mp.workdps(50):
-            rho = mp.mpf("1.755")
-            amax = mp.acos(1 / rho)
-            azero = mp.acos((3 * rho**2 + 1) / (rho * (rho**2 + 3)))
-
-            def K(a):
-                if a >= azero:
-                    return 2 * mp.pi * (1 - mp.cos(a))
-                c = mp.cos(a) / rho - mp.sqrt(1 - 1 / rho**2) * mp.sin(a)
-                return 2 * mp.pi * (1 - ((rho**2 - 1) * (c + 1) + 4) / (4 * rho))
-
-            s = 2 * azero
-            angle = mp.acos((mp.cos(s) - mp.cos(s) ** 2) / mp.sin(s) ** 2)
-            area = 3 * angle - mp.pi
-            oracle = 3 * K(azero) * angle / (2 * mp.pi * area)
-            assert abs(float(oracle) - EQUILATERAL_DENSITY_1_755) < 1e-15
+        rho = mp_oracle.mp.mpf("1.755")
+        a0 = mp_oracle.alpha_zero(rho)
+        oracle = mp_oracle.density(rho, a0, a0, a0)
+        assert abs(float(oracle) - EQUILATERAL_DENSITY_1_755) < 1e-15
 
         g = rho_geometry(1.755)
         value = density(g, g.alpha_zero, g.alpha_zero, g.alpha_zero).density
@@ -119,11 +110,12 @@ class TestDensity:
         assert abs(estimate - SIMPLEX_PI6_DENSITY) <= 3.0 * se
 
     def test_vector_kernel_matches_scalar(self, rng):
+        # density() evaluates the sorted triple on the kernel
         g = rho_geometry(1.755)
-        x, y, z = rng.uniform(g.alpha_min, g.alpha_max, size=(3, 500))
+        x, y, z = np.sort(rng.uniform(g.alpha_min, g.alpha_max, size=(3, 500)), axis=0)
         vec = density_vec(g, x, y, z)
         for i in range(0, 500, 17):
-            assert vec[i] == pytest.approx(density(g, x[i], y[i], z[i]).density, rel=1e-14)
+            assert vec[i] == density(g, x[i], y[i], z[i]).density
 
     def test_domain(self):
         g = rho_geometry(1.755)
@@ -144,7 +136,7 @@ class TestMaxDensity:
     def test_max_density_matches_dataclass_path(self):
         g = rho_geometry(1.755)
         result = max_density(g, SearchConfig(grid_step=0.1))
-        assert result.max_density == pytest.approx(density(g, *result.argmax).density, rel=1e-14)
+        assert result.max_density == density(g, *result.argmax).density
 
     @pytest.mark.parametrize("max_iterations, atol", [(40, 1e-12), (2000, 1e-6)])
     def test_each_lane_matches_scalar_nelder_mead(self, rng, max_iterations, atol):
@@ -278,6 +270,20 @@ class TestSweep:
             sweep_rho(1.7, 1.8, -0.01)
         with pytest.raises(DomainError):
             sweep_rho(1.7, 1.8, math.nan)
+        with pytest.raises(DomainError, match="finite"):
+            sweep_rho(1.7, 1.8, math.inf)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324])
+    def test_oversized_grid_rejected_before_building(self, step):
+        # a list of ~1e299 ratios could never be built: the count is checked first
+        with pytest.raises(DomainError, match="ratios"):
+            sweep_rho(1.7, 1.8, step)
+
+    def test_grid_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(density_module, "MAX_RHO_RATIOS", 3)
+        assert len(density_module._rho_grid(1.7, 1.8, 0.05)) == 3
+        with pytest.raises(DomainError, match="ratios"):
+            density_module._rho_grid(1.7, 1.8, 0.025)
 
 
 class TestPruning:
@@ -320,10 +326,11 @@ class TestCsv:
 
 
 def test_import_does_not_load_scipy():
-    # scipy is a test dependency only; importing the package must not pay for it
+    # scipy and mpmath are test dependencies only; importing the package
+    # must not pay for them
     src = os.path.dirname(os.path.dirname(os.path.abspath(kissbound.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, kissbound; print('scipy' in sys.modules)"
+    code = "import sys, kissbound; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

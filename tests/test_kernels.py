@@ -1,0 +1,70 @@
+"""The kernels against the scalar API (bit for bit) and against the
+60-digit oracle in `mp_oracle` (forward error)."""
+
+import numpy as np
+import pytest
+
+from kissbound import cap_area_K, density, rho_geometry, triangle_angles
+from kissbound._kernels import K_vec, density_vec, triangle_angles_vec, triangle_excess_vec
+from kissbound.certifier import DEFAULT_FP_SLACK, _GridScan
+
+import mp_oracle
+
+RHOS = [1.5, 1.755, 1.99]
+
+
+def random_triples(rng, geom, count):
+    return rng.uniform(geom.alpha_min, geom.alpha_max, size=(3, count))
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_scalar_api_matches_kernels_bit_for_bit(rng, rho):
+    # the scalar API is a wrapper on the kernels, so no value may differ
+    # by even one ulp, in argument order as well as in sorted order
+    g = rho_geometry(rho)
+    x, y, z = random_triples(rng, g, 10_000)
+    (ax, ay, az), _ = triangle_angles_vec(x, y, z)
+    area = triangle_excess_vec(x, y, z)
+    k = K_vec(g, x)
+    sx, sy, sz = np.sort((x, y, z), axis=0)
+    d = density_vec(g, sx, sy, sz)
+    for i in range(x.size):
+        t = triangle_angles(x[i], y[i], z[i])
+        assert (t.angle_x, t.angle_y, t.angle_z, t.area) == (ax[i], ay[i], az[i], area[i])
+        assert cap_area_K(g, x[i]) == k[i]
+        assert density(g, x[i], y[i], z[i]).density == d[i]
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_kernels_match_oracle(rng, rho):
+    g = rho_geometry(rho)
+    x, y, z = random_triples(rng, g, 200)
+    d = density_vec(g, x, y, z)
+    (ax, _, _), _ = triangle_angles_vec(x, y, z)
+    k = K_vec(g, x)
+    for i in range(x.size):
+        assert mp_oracle.rel_error(d[i], mp_oracle.density(rho, x[i], y[i], z[i])) <= 1e-12
+        assert mp_oracle.rel_error(ax[i], mp_oracle.vertex_angle(x[i], y[i], z[i])) <= 1e-12
+        # K vanishes at alpha_min, so its error is absolute
+        assert abs(k[i] - float(mp_oracle.K(rho, x[i]))) <= 1e-13
+
+
+def test_corner_bound_error_far_below_fp_slack():
+    # the certificate's fp_slack covers rounding only if the largest grid-box
+    # bounds, the ones the certified bound is made of, are accurate: take the
+    # grid's own float edges as exact inputs and compare with the oracle
+    rho, count = 1.755, 20
+    scan = _GridScan(rho_geometry(rho), 0.004)
+    candidates = []
+    for i in range(scan.n):
+        j, k = np.triu_indices(scan.n - i)
+        j, k = j + i, k + i
+        bounds = scan._batch_bounds(i, j, k)
+        top = np.argsort(bounds)[-count:]
+        candidates += [(bounds[p], i, j[p], k[p]) for p in top]
+    candidates.sort(reverse=True)
+    g = scan.g
+    for bound, i, j, k in candidates[:count]:
+        lower, upper = (g[i], g[j], g[k]), (g[i + 1], g[j + 1], g[k + 1])
+        assert mp_oracle.rel_error(bound, mp_oracle.box_bound(rho, lower, upper)) <= 1e-13
+    assert 1e-13 < DEFAULT_FP_SLACK

@@ -144,6 +144,22 @@ class TestLoadPacking:
         with pytest.raises(DomainError):
             load_packing(read("two_balls.json"), tolerance=tolerance)
 
+    @pytest.mark.parametrize("spacing", [1.0, 2.0])
+    def test_magnitude_beyond_limit_rejected(self, spacing):
+        # squared coordinate differences of such balls overflow to inf, which
+        # hid both this overlap (spacing 1) and this tangency (spacing 2)
+        r = 1e160
+        balls = [Ball((0.0, 0.0, 0.0), r), Ball((spacing * r, 0.0, 0.0), r)]
+        with pytest.raises(DomainError, match="magnitude"):
+            packing_from_balls(balls)
+
+    def test_magnitude_at_limit_measured(self):
+        r = packings.MAX_MAGNITUDE / 2.0
+        tangent = packing_from_balls([Ball((0.0, 0.0, 0.0), r), Ball((2.0 * r, 0.0, 0.0), r)])
+        assert contact_graph(tangent).edges == ((0, 1),)
+        with pytest.raises(OverlapError):
+            packing_from_balls([Ball((0.0, 0.0, 0.0), r), Ball((r, 0.0, 0.0), r)])
+
     def test_fcc_fixture_round_trip(self):
         packing = load_packing(read("fcc_n2.json"))
         generated = fcc_fragment(2)
