@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .errors import DegenerateTriangleError, DomainError
 
@@ -96,7 +98,7 @@ def check_rho(rho: float) -> None:
 def _check_pair_args(rho: float, r1: float, r2: float) -> None:
     if not (rho > 1.0) or not math.isfinite(rho):
         raise DomainError(f"inflation ratio must exceed 1, got {rho!r}")
-    if not (r1 > 0.0 and r2 > 0.0):
+    if not (np.all(r1 > 0.0) and np.all(r2 > 0.0)):
         raise DomainError(f"ball radii must be positive, got r1={r1!r}, r2={r2!r}")
 
 
@@ -110,11 +112,12 @@ def cap_radius_cos(rho: float, r1: float, r2: float) -> float:
 
     Values above 1 mean the measuring sphere passes beyond B2 entirely
     (empty intersection); they are clamped to exactly 1 so that heights
-    and areas degrade to 0 rather than go negative.
+    and areas degrade to 0 rather than go negative.  Radius arrays give an
+    array of the same values, elementwise; scalars give a float.
     """
     _check_pair_args(rho, r1, r2)
-    value = ((rho * rho + 1.0) * r1 + 2.0 * r2) / (2.0 * rho * (r1 + r2))
-    return min(value, 1.0)
+    value = np.minimum(((rho * rho + 1.0) * r1 + 2.0 * r2) / (2.0 * rho * (r1 + r2)), 1.0)
+    return value if value.ndim else float(value)
 
 
 def cap_height(rho: float, r1: float, r2: float) -> float:
@@ -127,6 +130,7 @@ def coverage_fraction(rho: float, r1: float, r2: float) -> float:
 
     By the spherical cap area formula the fraction equals (1 - cos alpha)/2
     in three dimensions.  Scale invariant: only rho and r1/r2 matter.
+    Accepts radius arrays, like cap_radius_cos.
     """
     return 0.5 * (1.0 - cap_radius_cos(rho, r1, r2))
 

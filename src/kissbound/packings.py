@@ -7,8 +7,10 @@ A packing document is a single JSON object
 with finite decimal numbers.  Tangency and overlap are decided with a
 relative tolerance (default 1e-9) because exact tangency is not
 representable for irrational configurations; the tolerance used is
-recorded in every report.  The overlap check and the contact graph
-share one sweep-and-prune pair search.
+recorded in every report.  The contact edges are found once, while the
+packing is validated: one sweep-and-prune pair search measures every
+candidate pair for the overlap check and keeps the tangent ones, and the
+contact graph and the coverage audit read them from the Packing.
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -47,7 +49,8 @@ DEFAULT_TOLERANCE = 1e-9
 # candidate pairs per distance batch, which bounds the sweep's temporaries
 MAX_PAIR_BATCH = 8_192
 # largest coordinate or radius magnitude: squared distances of such balls
-# stay far below the float64 overflow threshold
+# stay far below the float64 overflow threshold; radii below its reciprocal
+# are rejected, because squared distances of such balls underflow
 MAX_MAGNITUDE = 1e150
 
 
@@ -57,11 +60,17 @@ class Ball:
     radius: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Packing:
-    """Validated list of balls with pairwise non-intersecting interiors."""
+    """Validated list of balls with pairwise non-intersecting interiors.
+
+    edges are the tangent pairs (i, j), i < j, in lexicographic order.
+    They are found once, while the packing is validated, so build a
+    Packing with packing_from_balls or load_packing.
+    """
 
     balls: tuple[Ball, ...]
+    edges: tuple[tuple[int, int], ...]
     tolerance: float = DEFAULT_TOLERANCE
 
     def __len__(self) -> int:
@@ -89,39 +98,46 @@ class ContactGraph:
         return out
 
 
-def _centers_radii(packing: Packing) -> tuple[np.ndarray, np.ndarray]:
-    centers = np.array([b.center for b in packing.balls], dtype=np.float64)
-    radii = np.array([b.radius for b in packing.balls], dtype=np.float64)
-    return centers, radii
-
-
 def packing_from_balls(
     balls: list[Ball] | tuple[Ball, ...], tolerance: float = DEFAULT_TOLERANCE
 ) -> Packing:
-    """Validate non-overlap and build a Packing.
+    """Validate non-overlap, find the contact edges and build a Packing.
 
     Raises OverlapError naming the first offending pair (lexicographic)
     and its penetration depth.
     """
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise DomainError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    packing = Packing(balls=tuple(balls), tolerance=tolerance)
-    centers, radii = _centers_radii(packing)
+    balls = tuple(balls)
+    centers = np.array([b.center for b in balls], dtype=np.float64)
+    radii = np.array([b.radius for b in balls], dtype=np.float64)
     largest = float(max(np.abs(centers).max(initial=0.0), np.abs(radii).max(initial=0.0)))
     if largest > MAX_MAGNITUDE:
         raise DomainError(
             f"coordinates and radii must not exceed {MAX_MAGNITUDE:g} in magnitude, "
             f"got {largest!r}"
         )
+    smallest = float(radii.min(initial=math.inf))
+    if not smallest >= 1.0 / MAX_MAGNITUDE:
+        raise DomainError(f"radii must be at least {1.0 / MAX_MAGNITUDE:g}, got {smallest!r}")
     overlaps = []
+    hits = [np.zeros((2, 0), dtype=np.intp)]
     for i, j, dist in _close_pairs(centers, radii, tolerance):
-        bad = dist < (radii[i] + radii[j]) * (1.0 - tolerance)
+        radius_sum = radii[i] + radii[j]
+        bad = dist < radius_sum * (1.0 - tolerance)
         # sweep order is not index order: keep each batch's lexicographic first
         overlaps += sorted(zip(i[bad].tolist(), j[bad].tolist(), dist[bad].tolist()))[:1]
+        hit = _tangent_mask(dist, radius_sum, tolerance)
+        hits.append(np.stack((i[hit], j[hit])))
     if overlaps:
         i, j, dist = min(overlaps)
         raise OverlapError(i, j, float(radii[i] + radii[j] - dist))
-    return packing
+    i, j = np.concatenate(hits, axis=1)
+    order = np.lexsort((j, i))
+    # one int object per ball, shared by all of its edges
+    label = list(range(len(balls))).__getitem__
+    edges = tuple(zip(map(label, i[order]), map(label, j[order])))
+    return Packing(balls=balls, edges=edges, tolerance=tolerance)
 
 
 def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing:
@@ -196,19 +212,11 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
 
 
 def contact_graph(packing: Packing) -> ContactGraph:
-    """Tangency graph: edge (i, j) iff |dist - (ri + rj)| <= tol (ri + rj)."""
-    centers, radii = _centers_radii(packing)
-    tol = packing.tolerance
-    hits = [np.zeros((2, 0), dtype=np.intp)]
-    for i, j, dist in _close_pairs(centers, radii, tol):
-        hit = _tangent_mask(dist, radii[i] + radii[j], tol)
-        hits.append(np.stack((i[hit], j[hit])))
-    i, j = np.concatenate(hits, axis=1)
-    order = np.lexsort((j, i))
-    # one int object per ball, shared by all of its edges
-    label = list(range(len(packing))).__getitem__
-    edges = tuple(zip(map(label, i[order]), map(label, j[order])))
-    return ContactGraph(vertex_count=len(packing), edges=edges)
+    """Tangency graph: edge (i, j) iff |dist - (ri + rj)| <= tol (ri + rj).
+
+    The edges are the ones packing_from_balls found during validation.
+    """
+    return ContactGraph(vertex_count=len(packing), edges=packing.edges)
 
 
 def fcc_fragment(n: int) -> Packing:
@@ -271,20 +279,17 @@ def coverage_audit(
     """
     check_rho(rho)
     graph = contact_graph(packing)
-    sums = [0.0] * len(packing)
-    edge_sum = 0.0
-    for i, j in graph.edges:
-        ri = packing.balls[i].radius
-        rj = packing.balls[j].radius
-        a_ij = coverage_fraction(rho, ri, rj)
-        a_ji = coverage_fraction(rho, rj, ri)
-        sums[i] += a_ij
-        sums[j] += a_ji
-        edge_sum += a_ij + a_ji
-    degrees = graph.degrees()
-    rows = tuple(
-        (index, degrees[index], sums[index]) for index in range(len(packing))
-    )
+    radii = np.array([b.radius for b in packing.balls], dtype=np.float64)
+    # rows (i, j) of ends pair with rows (a_ij, a_ji) of fractions; raveled,
+    # they interleave in the order an edge-by-edge loop adds them
+    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    ends_radii = radii[ends]
+    fractions = coverage_fraction(rho, ends_radii, ends_radii[:, ::-1]).ravel()
+    sums = np.zeros(len(packing))
+    np.add.at(sums, ends.ravel(), fractions)
+    # correctly rounded: a running sum drifts past the tolerance on large packings
+    edge_sum = math.fsum(fractions.tolist())
+    rows = tuple(zip(range(len(packing)), graph.degrees(), sums.tolist()))
     floor = pair_sum_value(rho) * len(graph.edges)
     edge_ok = edge_sum >= floor - 1e-12 * max(1.0, abs(floor))
     violations = []

@@ -108,6 +108,29 @@ class TestCoverageFraction:
         total = coverage_fraction(2.0, 1.0, 1.0) + coverage_fraction(2.0, 1.0, 1.0)
         assert total == pytest.approx(1.0 / 8.0, abs=1e-15)
 
+    def test_scalars_give_float_and_keep_domain_checks(self):
+        assert type(coverage_fraction(1.755, 1.0, 0.8)) is float
+        assert type(coverage_fraction(2.0, 1.0, 0.5)) is float
+        assert type(cap_radius_cos(2.0, 1.0, 0.5)) is float
+        bad = [(1.755, 0.0, 1.0), (1.755, 1.0, -1.0), (1.755, math.nan, 1.0), (1.0, 1.0, 1.0)]
+        for args in bad + [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0)]:
+            with pytest.raises(DomainError):
+                coverage_fraction(*args)
+
+    def test_arrays_match_scalars_bit_for_bit(self, rng):
+        rho = 1.755
+        r1 = 10.0 ** rng.uniform(-2.0, 2.0, 500)
+        r2 = 10.0 ** rng.uniform(-2.0, 2.0, 500)
+        values = coverage_fraction(rho, r1, r2)
+        assert values.shape == (500,)
+        # the spread of ratios reaches both empty caps and clamped cosines
+        assert np.any(values == 0.0) and np.all(values >= 0.0)
+        assert values.tolist() == [
+            coverage_fraction(rho, a, b) for a, b in zip(r1.tolist(), r2.tolist())
+        ]
+        with pytest.raises(DomainError):
+            coverage_fraction(rho, r1, np.append(r2[1:], 0.0))
+
     @given(
         st.floats(1.05, 2.95),
         st.floats(0.001, 1000.0),

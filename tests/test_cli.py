@@ -417,6 +417,21 @@ class TestGraph:
         assert "magnitude" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("radius", [1e-160, 1e-170])
+    def test_tiny_radius_exit_four(self, capsys, tmp_path, radius):
+        # a tangent pair whose squared distance would underflow to 0
+        balls = [
+            {"center": [0, 0, 0], "radius": radius},
+            {"center": [2 * radius, 0, 0], "radius": radius},
+        ]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"balls": balls}), encoding="utf-8")
+        code, out, err = run(capsys, "graph", str(path), "--rho", "1.755")
+        assert code == 4
+        assert out == ""
+        assert "radii must be at least" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exit_three(self, capsys):
         code, _, err = run(capsys, "graph", data_path("malformed.json"))
         assert code == 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from kissbound import (
     SearchConfig,
     contact_graph,
     coverage_audit,
+    coverage_fraction,
     fcc_fragment,
     load_packing,
     max_density,
@@ -78,6 +80,23 @@ def multiscale_packing(rng, count=300):
     return packing_from_balls(
         [Ball(tuple(float(v) for v in c), r) for c, r in zip(centers, radii)]
     )
+
+
+def fcc_with_holes(rng, shells=3):
+    """fcc_fragment(shells) plus a ball in each octahedral hole (radius
+    sqrt(2) - 1, tangent to six unit balls) and each tetrahedral hole
+    (sqrt(3/2) - 1, tangent to four) near it, in random order.  At rho =
+    1.755 the tetrahedral balls are below min_nonempty_radius of a unit
+    ball, so their caps on it are empty."""
+    scale = math.sqrt(2.0)
+    balls = list(fcc_fragment(shells).balls)
+    for site in itertools.product(range(-3, 4), repeat=3):
+        if sum(site) % 2:
+            balls.append(Ball(tuple(scale * v for v in site), scale - 1.0))
+        if max(site) < 3:
+            center = tuple(scale * (v + 0.5) for v in site)
+            balls.append(Ball(center, math.sqrt(1.5) - 1.0))
+    return packing_from_balls([balls[k] for k in rng.permutation(len(balls))])
 
 
 def widest_pairs(rng, base, tolerance, count=200):
@@ -152,6 +171,21 @@ class TestLoadPacking:
         balls = [Ball((0.0, 0.0, 0.0), r), Ball((spacing * r, 0.0, 0.0), r)]
         with pytest.raises(DomainError, match="magnitude"):
             packing_from_balls(balls)
+
+    @pytest.mark.parametrize("radius", [1e-160, 1e-170, 0.0])
+    def test_radius_below_limit_rejected(self, radius):
+        # squared distances of such balls underflow, which made this tangent
+        # pair read as an overlap of depth 2 r
+        balls = [Ball((0.0, 0.0, 0.0), radius), Ball((2.0 * radius, 0.0, 0.0), radius)]
+        with pytest.raises(DomainError, match="radii must be at least"):
+            packing_from_balls(balls)
+
+    def test_radius_at_limit_measured(self):
+        r = 1.0 / packings.MAX_MAGNITUDE
+        tangent = packing_from_balls([Ball((0.0, 0.0, 0.0), r), Ball((2.0 * r, 0.0, 0.0), r)])
+        assert contact_graph(tangent).edges == ((0, 1),)
+        with pytest.raises(OverlapError):
+            packing_from_balls([Ball((0.0, 0.0, 0.0), r), Ball((r, 0.0, 0.0), r)])
 
     def test_magnitude_at_limit_measured(self):
         r = packings.MAX_MAGNITUDE / 2.0
@@ -259,6 +293,29 @@ class TestContactGraph:
         assert edges == brute_force_edges(packing)
         assert edges == tuple((2 * k, 2 * k + 1) for k in range(200))
 
+    def test_one_pair_search_per_packing(self, monkeypatch):
+        calls = []
+        close_pairs = packings._close_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return close_pairs(*args)
+
+        monkeypatch.setattr(packings, "_close_pairs", counted)
+        packing = load_packing(read("fcc_n2.json"))
+        graph = contact_graph(packing)
+        audit = coverage_audit(packing, 1.755)
+        assert len(calls) == 1
+        assert audit.edge_count == len(graph.edges) == 60
+
+    def test_packing_requires_edges(self):
+        # the edges come from validation; a hand-built Packing has none to give
+        balls = (Ball((0.0, 0.0, 0.0), 1.0),)
+        with pytest.raises(TypeError):
+            packings.Packing(balls=balls)
+        with pytest.raises(TypeError):
+            packings.Packing(balls, 1e-9)
+
 
 class TestFccFragment:
     def test_one_shell_is_kissing_configuration(self):
@@ -307,6 +364,43 @@ class TestCoverageAudit:
             balls = [Ball((0.0, 0.0, 0.0), r1), Ball((r1 + r2, 0.0, 0.0), r2)]
             audit = coverage_audit(packing_from_balls(balls), rho)
             assert abs(audit.edge_sum - pair_sum_value(rho)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "packing_of, rho, empty_caps",
+        [
+            # at 1.3 the sums of some unit balls depend on the order of addition
+            (fcc_with_holes, 1.3, False),
+            (fcc_with_holes, 1.755, True),
+            (multiscale_packing, 1.755, True),
+        ],
+    )
+    def test_matches_scalar_reference_loop(self, rng, packing_of, rho, empty_caps):
+        packing = packing_of(rng)
+        sums = [0.0] * len(packing)
+        fractions = []
+        for i, j in packing.edges:
+            ri, rj = packing.balls[i].radius, packing.balls[j].radius
+            a_ij = coverage_fraction(rho, ri, rj)
+            a_ji = coverage_fraction(rho, rj, ri)
+            sums[i] += a_ij
+            sums[j] += a_ji
+            fractions += [a_ij, a_ji]
+        degrees = contact_graph(packing).degrees()
+        audit = coverage_audit(packing, rho)
+        assert (0.0 in fractions) == empty_caps
+        assert audit.rows == tuple(zip(range(len(packing)), degrees, sums))
+        assert all(type(value) is float for _, _, value in audit.rows)
+        assert audit.edge_sum == math.fsum(fractions)
+        assert audit.edge_sum_floor == pair_sum_value(rho) * len(packing.edges)
+        assert audit.edge_sum_ok
+
+    def test_edge_sum_correctly_rounded_on_large_packing(self):
+        # 10,889 balls and 61,368 edges: an edge-by-edge running sum fell
+        # 1.3e-12 relative below the floor and reported a false violation
+        audit = coverage_audit(fcc_fragment(150), 1.755)
+        assert audit.edge_count == 61_368
+        assert audit.edge_sum_ok
+        assert audit.violations == ()
 
     def test_fcc_audit_against_max_density(self):
         packing = fcc_fragment(2)
