@@ -43,35 +43,44 @@ def _radius(u):
     return np.asarray(u, dtype=np.float64)
 
 
-def _angle_arg(cos_opp, cos_s2, cos_s3, sin_s2, sin_s3):
-    return (cos_opp - cos_s2 * cos_s3) / (sin_s2 * sin_s3)
+def _angle_arg(cos_opp, cos_s2, cos_s3, sin_s2, sin_s3, out=None):
+    return np.divide(cos_opp - cos_s2 * cos_s3, sin_s2 * sin_s3, out=out)
 
 
 def triangle_args_vec(x, y, z, pair=_trig_of_sum):
-    """Law-of-cosines arccos arguments at the vertices x, y, z, unclipped."""
+    """Law-of-cosines arccos arguments at the vertices x, y, z, unclipped,
+    stacked as one (3, ...) array, row v for vertex v."""
     cos_yz, sin_yz = pair(y, z)
     cos_xz, sin_xz = pair(x, z)
     cos_xy, sin_xy = pair(x, y)
-    return (
-        _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy),
-        _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz),
-        _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz),
-    )
+    # written in place: stacking three finished rows copies every scan
+    # batch once more, which cost the grid scan measurable time
+    shape = np.broadcast_shapes(np.shape(cos_yz), np.shape(cos_xz), np.shape(cos_xy))
+    args = np.empty((3, *shape))
+    _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy, out=args[0, ...])
+    _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz, out=args[1, ...])
+    _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz, out=args[2, ...])
+    return args
 
 
 def angles_of_args(args):
     """Vertex angles from the raw arguments of `triangle_args_vec`.
 
-    Arguments are clipped into [-1, 1]; entries whose raw argument lies
-    beyond the guard are reported through the validity mask (second return
-    value) instead of being silently repaired.
+    Arguments (stacked, one row per vertex) are clipped into [-1, 1] and
+    the angles come back stacked the same way; entries whose raw argument
+    lies beyond the guard are reported through the validity mask (second
+    return value) instead of being silently repaired.
     """
-    valid = functools.reduce(np.logical_and, [np.abs(arg) <= 1.0 + ANGLE_GUARD for arg in args])
-    return tuple(np.arccos(np.clip(arg, -1.0, 1.0)) for arg in args), valid
+    args = np.asarray(args, dtype=np.float64)
+    valid = (np.abs(args) <= 1.0 + ANGLE_GUARD).all(axis=0)
+    # arccos in place: one (3, N) temporary fewer per grid-scan batch
+    angles = args.clip(-1.0, 1.0)
+    return np.arccos(angles, out=angles), valid
 
 
 def triangle_angles_vec(x, y, z, pair=_trig_of_sum):
-    """Vertex angles of the tangent-cap triangle with radii (x, y, z), and validity."""
+    """Vertex angles (stacked, 3 x ...) of the tangent-cap triangle with
+    radii (x, y, z), and validity."""
     return angles_of_args(triangle_args_vec(x, y, z, pair))
 
 
@@ -87,21 +96,31 @@ def triangle_excess_vec(x, y, z, pair=_trig_of_sum):
 
 
 def K_vec(geom: RhoGeometry, alpha):
-    """Piecewise coverage-cap area K(alpha), vectorized over alpha."""
+    """Piecewise coverage-cap area K(alpha), vectorized over alpha.
+
+    The fields of geom may be arrays broadcasting against alpha, which
+    gives every lane its own ratio; np.sqrt rounds as math.sqrt does, so a
+    lane's value has the same bits as with a scalar geometry.
+    """
     alpha = np.asarray(alpha, dtype=np.float64)
     rho = geom.rho
-    cone_cos = np.cos(alpha) / rho - math.sqrt(1.0 - 1.0 / (rho * rho)) * np.sin(alpha)
+    cos_alpha = np.cos(alpha)
+    cone_cos = cos_alpha / rho - np.sqrt(1.0 - 1.0 / (rho * rho)) * np.sin(alpha)
     cone_area = TWO_PI * (1.0 - ((rho * rho - 1.0) * (cone_cos + 1.0) + 4.0) / (4.0 * rho))
-    plain_area = TWO_PI * (1.0 - np.cos(alpha))
+    plain_area = TWO_PI * (1.0 - cos_alpha)
     return np.where(alpha >= geom.alpha_zero, plain_area, cone_area)
 
 
 def density_vec(geom: RhoGeometry, x, y, z):
-    """Cap-triangle density D(x, y, z); NaN where degenerate or invalid."""
+    """Cap-triangle density D(x, y, z); NaN where degenerate or invalid.
+
+    The stages after the sides run once on the vertices stacked as rows:
+    one clip and arccos, one validity test, one K.
+    """
     angles, valid = triangle_angles_vec(x, y, z)
     area = excess_vec(angles, valid)
-    ax, ay, az = angles
-    num = K_vec(geom, x) * ax + K_vec(geom, y) * ay + K_vec(geom, z) * az
+    terms = K_vec(geom, np.array(np.broadcast_arrays(x, y, z))) * angles
+    num = terms[0] + terms[1] + terms[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(area > 0.0, num / (TWO_PI * area), np.nan)
 

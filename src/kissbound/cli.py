@@ -149,6 +149,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     metadata = _metadata(args, started, {"stdout": _sha256(csv_text)})
     metadata["failed_starts"] = sum(r.failed_starts for r in results)
+    # per ratio in CSV row order, 0 for pruned rows: the most simplex
+    # updates any start made, and the points the search evaluated
+    metadata["iterations"] = [r.iterations for r in results]
+    metadata["evaluations"] = [r.evaluations for r in results]
     print(json.dumps(metadata), file=sys.stderr)
     return EXIT_OK
 

@@ -13,14 +13,20 @@ Multiplying by 8 rho / (-rho^2 + 4 rho - 3) turns the maximum into an
 upper bound on the average degree of a ball packing's contact graph; the
 sweep over rho locates the inflation ratio minimizing that objective.
 
-The maximization is a heuristic multistart Nelder-Mead search: every start
-point gets its own simplex, and one lockstep loop advances all of them
-together on the vectorized kernel `_kernels.density_vec`.  It carries no
-rigor guarantee; the certifier owns the rigorous statement.
+The maximization is a heuristic multistart Nelder-Mead search carrying no
+rigor guarantee; the certifier owns the rigorous statement.  Every start
+point gets its own simplex, a lane, and one lockstep loop advances the
+lanes together: all of a `max_density` call, or all of the ratios one
+`sweep_rho` worker holds, each lane looking up its own ratio's geometry.
+The loop's numpy calls are then shared by every lane, and the objective
+`_kernels.density_vec` runs its arccos and K stages once on the three
+vertices stacked.  Lanes never mix, so a ratio's result has the same bits
+whichever ratios share its loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
@@ -87,6 +93,9 @@ class SweepResult:
     objective = max_density * 8 rho / (-rho^2 + 4 rho - 3).  For pruned
     rows (sweeps run with a pruning threshold) max_density and objective
     hold the equilateral lower-bound values that justified exclusion.
+    The search's counts stay out of comparisons: iterations is the most
+    simplex updates any start made, evaluations the points at which D
+    was evaluated (both 0 on pruned rows).
     """
 
     rho: float
@@ -95,6 +104,8 @@ class SweepResult:
     objective: float
     pruned: bool = False
     failed_starts: int = field(default=0, compare=False)
+    iterations: int = field(default=0, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
 
 def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
@@ -133,52 +144,62 @@ REFLECT, EXPAND, CONTRACT, SHRINK, INITIAL_SCALE = 1.0, 2.0, 0.5, 0.5, 1.05
 
 
 def _neg_density(geom: RhoGeometry, points: np.ndarray) -> np.ndarray:
-    """-D at points (..., 3), each sorted first; +inf outside I_rho^3 or where D is NaN."""
-    inside = np.all((points >= geom.alpha_min) & (points <= geom.alpha_max), axis=-1)
-    x, y, z = np.sort(points, axis=-1).reshape(-1, 3).T.copy()
-    value = -density_vec(geom, x, y, z).reshape(inside.shape)
-    return np.where(inside & ~np.isnan(value), value, np.inf)
+    """-D at points (..., 3), each sorted first; +inf outside I_rho^3 or where D is NaN.
 
-
-def max_density(
-    geom: RhoGeometry,
-    cfg: SearchConfig | None = None,
-    starts: list[tuple[float, float, float]] | None = None,
-) -> SweepResult:
-    """Best local maximum of D found by multistart Nelder-Mead.
-
-    One lockstep loop advances a simplex per start (every point of the
-    symmetry-reduced grid, or the given `starts`) as an (S, 4, 3) array
-    with (S, 4) values; a lane stops once its simplex size and value
-    spread are both within cfg.tol, or after cfg.max_iterations.  Per-lane
-    masks choose reflection, expansion, contraction or shrink.  Points
-    outside I_rho^3 get an infinite penalty.  Lanes never mix and the max
-    over starts breaks ties toward the lexicographically smallest sorted
-    triple, so start order does not matter.  Failed starts (infeasible,
-    or ending non-finite) are skipped and counted.
+    The fields of geom are scalars, or arrays over the first axis of
+    points that give each lane its own ratio: transposed, a lane's points
+    line up with its geometry along the last axis.
     """
-    cfg = cfg or SearchConfig()
+    coords = points.T
+    inside = ((coords >= geom.alpha_min) & (coords <= geom.alpha_max)).all(axis=0)
+    value = -density_vec(geom, *np.sort(points, axis=-1).T)
+    return np.where(inside & ~np.isnan(value), value, np.inf).T
+
+
+def _search(
+    geoms: list[RhoGeometry],
+    cfg: SearchConfig,
+    starts: list[list[tuple[float, float, float]]] | None = None,
+) -> list[SweepResult]:
+    """Multistart Nelder-Mead at every ratio of `geoms` in one lockstep loop.
+
+    A lane is one (ratio, start) pair: a row of an (S, 4, 3) array of
+    simplices with (S, 4) values.  `owner` names each lane's ratio, and the
+    objective gets that ratio's column of the geometry table.  A lane
+    stops once its simplex size and value spread are both within cfg.tol,
+    or after cfg.max_iterations passes.  Per-lane masks choose reflection,
+    expansion, contraction or shrink.  Points outside I_rho^3 get an
+    infinite penalty.  Lanes never mix, so a ratio's result does not
+    depend on the ratios searched beside it.
+    """
     if starts is None:
-        starts = _wedge_grid(geom, cfg.grid_step)
-    start = np.asarray(starts, dtype=np.float64).reshape(-1, 3)
+        starts = [_wedge_grid(g, cfg.grid_step) for g in geoms]
+    owner = np.repeat(np.arange(len(geoms)), [len(s) for s in starts])
+    start = np.asarray([p for s in starts for p in s], dtype=np.float64).reshape(-1, 3)
+    table = np.array([(g.rho, g.alpha_min, g.alpha_zero, g.alpha_max) for g in geoms]).T
     # vertex k + 1 of a start's simplex scales its coordinate k
     sim = start[:, None, :] * np.where(np.eye(4, 3, k=-1, dtype=bool), INITIAL_SCALE, 1.0)
-    fsim = _neg_density(geom, sim)
+    fsim = _neg_density(RhoGeometry(*table[:, owner]), sim)
     best_x, best_f = start.copy(), np.full(len(start), np.inf)
+    # per lane: simplex updates made, and how many of them shrank the simplex
+    steps, shrinks = np.zeros(len(start), np.int64), np.zeros(len(start), np.int64)
     lanes = np.flatnonzero(np.isfinite(fsim[:, 0]))
     sim, fsim = sim[lanes], fsim[lanes]
     for iteration in itertools.count(1):
         order = np.argsort(fsim, axis=1, kind="stable")
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fsim = np.take_along_axis(fsim, order, axis=1)
+        rows = np.arange(len(lanes))[:, None]
+        sim, fsim = sim[rows, order], fsim[rows, order]
         size = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
         spread = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1)
         done = ((size <= cfg.tol) & (spread <= cfg.tol)) | (iteration >= cfg.max_iterations)
         best_x[lanes[done]], best_f[lanes[done]] = sim[done, 0], fsim[done, 0]
+        steps[lanes[done]] = iteration - 1
         lanes, sim, fsim = lanes[~done], sim[~done], fsim[~done]
         if not lanes.size:
             break
 
+        own = owner[lanes]
+        geom = RhoGeometry(*table[:, own])
         xbar, worst = (sim[:, 0] + sim[:, 1] + sim[:, 2]) / 3.0, sim[:, 3]
         xr = (1.0 + REFLECT) * xbar - REFLECT * worst
         fxr = _neg_density(geom, xr)
@@ -201,20 +222,51 @@ def max_density(
         fsim[keep, 3] = np.where(take_trial, f_trial, fxr)[keep]
         anchor = sim[~keep, :1]
         sim[~keep, 1:] = anchor + SHRINK * (sim[~keep, 1:] - anchor)
-        fsim[~keep, 1:] = _neg_density(geom, sim[~keep, 1:])
+        fsim[~keep, 1:] = _neg_density(RhoGeometry(*table[:, own[~keep]]), sim[~keep, 1:])
+        shrinks[lanes[~keep]] += 1
 
-    finite = np.isfinite(best_f)
-    if not finite.any():
-        raise KissboundError("no start point produced a finite density")
-    best_value = -float(best_f.min())
-    best_triple = min(map(tuple, np.sort(best_x[best_f == -best_value], axis=1).tolist()))
-    return SweepResult(
-        rho=geom.rho,
-        max_density=best_value,
-        argmax=best_triple,
-        objective=best_value * objective_factor(geom.rho),
-        failed_starts=int(np.count_nonzero(~finite)),
-    )
+    # a start evaluates its 4 vertices, an update 2 points, a shrink 3 more
+    evaluations = 4 + 2 * steps + 3 * shrinks
+    results = []
+    for r, g in enumerate(geoms):
+        mine = owner == r
+        f = best_f[mine]
+        finite = np.isfinite(f)
+        if not finite.any():
+            raise KissboundError(f"no start point produced a finite density at rho {g.rho!r}")
+        best_value = -float(f.min())
+        best_triple = min(map(tuple, np.sort(best_x[mine][f == -best_value], axis=1).tolist()))
+        results.append(
+            SweepResult(
+                rho=g.rho,
+                max_density=best_value,
+                argmax=best_triple,
+                objective=best_value * objective_factor(g.rho),
+                failed_starts=int(np.count_nonzero(~finite)),
+                iterations=int(steps[mine].max()),
+                evaluations=int(evaluations[mine].sum()),
+            )
+        )
+    return results
+
+
+def max_density(
+    geom: RhoGeometry,
+    cfg: SearchConfig | None = None,
+    starts: list[tuple[float, float, float]] | None = None,
+) -> SweepResult:
+    """Best local maximum of D found by multistart Nelder-Mead.
+
+    The one-ratio call of the lockstep loop that `sweep_rho` runs: a
+    simplex per start (every point of the symmetry-reduced grid, or the
+    given `starts`), advanced together until each converges within
+    cfg.tol or cfg.max_iterations is reached.  The max over starts breaks
+    ties toward the lexicographically smallest sorted triple, so start
+    order does not matter.  Failed starts (infeasible, or ending
+    non-finite) are skipped and counted.
+    """
+    cfg = cfg or SearchConfig()
+    return _search([geom], cfg, None if starts is None else [starts])[0]
 
 
 def pruning_objective(rho: float) -> float:
@@ -289,22 +341,24 @@ def _rho_grid(rho_lo: float, rho_hi: float, step: float) -> list[float]:
     return [rho_lo + i * step for i in range(count)]
 
 
-def _sweep_one(args) -> SweepResult:
-    rho, cfg, prune_threshold = args
+def _pruned_result(rho: float, prune_threshold: float | None) -> SweepResult | None:
+    """The pruned row of rho if its equilateral lower bound reaches the
+    threshold, else None: rho has to be searched."""
+    if prune_threshold is None:
+        return None
     geom = rho_geometry(rho)
-    if prune_threshold is not None:
-        a0 = geom.alpha_zero
-        equilateral = density(geom, a0, a0, a0)
-        lower_bound = equilateral.density * objective_factor(rho)
-        if lower_bound >= prune_threshold:
-            return SweepResult(
-                rho=rho,
-                max_density=equilateral.density,
-                argmax=(a0, a0, a0),
-                objective=lower_bound,
-                pruned=True,
-            )
-    return max_density(geom, cfg)
+    a0 = geom.alpha_zero
+    equilateral = density(geom, a0, a0, a0)
+    lower_bound = equilateral.density * objective_factor(rho)
+    if lower_bound < prune_threshold:
+        return None
+    return SweepResult(
+        rho=rho,
+        max_density=equilateral.density,
+        argmax=(a0, a0, a0),
+        objective=lower_bound,
+        pruned=True,
+    )
 
 
 def sweep_rho(
@@ -317,23 +371,32 @@ def sweep_rho(
 ) -> list[SweepResult]:
     """Maximize D on a grid of inflation ratios.
 
-    Results come back in grid order and are identical for any worker
-    count (None: KISSBOUND_THREADS, else all cores).  With
-    prune_threshold set, ratios whose equilateral lower bound already
-    reaches the threshold are skipped (marked pruned) instead of
-    searched; without it the full interval is searched.
+    With prune_threshold set, ratios whose equilateral lower bound already
+    reaches the threshold are skipped (marked pruned) instead of searched;
+    without it the full interval is searched.  The ratios left are split
+    into at most `workers` contiguous groups (None: KISSBOUND_THREADS, else
+    all cores), one per process, and each group's ratios run in one
+    lockstep loop, which pays its per-iteration cost once per group
+    instead of once per ratio.  Lanes never mix, so results come back in
+    grid order, are identical for any worker count, and each equals
+    `max_density(rho_geometry(rho), cfg)`.
     """
     if prune_threshold is not None and not math.isfinite(prune_threshold):
         raise DomainError(f"prune threshold must be finite, got {prune_threshold!r}")
     cfg = cfg or SearchConfig()
     grid = _rho_grid(rho_lo, rho_hi, step)
-    jobs = [(rho, cfg, prune_threshold) for rho in grid]
-    workers = _resolve_workers(workers)
-    if workers == 1 or len(jobs) == 1:
-        return [_sweep_one(job) for job in jobs]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
-        return list(pool.imap(_sweep_one, jobs, chunksize=1))
+    results = [_pruned_result(rho, prune_threshold) for rho in grid]
+    todo = [rho_geometry(rho) for rho, r in zip(grid, results) if r is None]
+    n, groups = len(todo), min(_resolve_workers(workers), len(todo))
+    jobs = [todo[n * g // groups : n * (g + 1) // groups] for g in range(groups)]
+    search = functools.partial(_search, cfg=cfg)
+    if groups > 1:
+        with multiprocessing.get_context("fork").Pool(processes=groups) as pool:
+            searched = pool.map(search, jobs, chunksize=1)
+    else:
+        searched = map(search, jobs)
+    found = itertools.chain.from_iterable(searched)
+    return [r if r is not None else next(found) for r in results]
 
 
 SWEEP_CSV_HEADER = "rho,max_density,x,y,z,objective"

@@ -111,6 +111,10 @@ def packing_from_balls(
     balls = tuple(balls)
     centers = np.array([b.center for b in balls], dtype=np.float64)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
+    # NaN passes the magnitude test below and every comparison with it fails,
+    # which left such a ball silently without edges
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+        raise DomainError("coordinates and radii must be finite")
     largest = float(max(np.abs(centers).max(initial=0.0), np.abs(radii).max(initial=0.0)))
     if largest > MAX_MAGNITUDE:
         raise DomainError(

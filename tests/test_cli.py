@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kissbound import parse_certificate
+from kissbound import SearchConfig, parse_certificate, sweep_rho
 from kissbound.cli import main
 
 from conftest import data_path
@@ -137,6 +137,20 @@ class TestOptimize:
         assert code == 0
         meta = json.loads(err.strip().split("\n")[-1])
         assert meta["failed_starts"] == 0
+
+    def test_search_counts_in_metadata(self, capsys):
+        argv = ["optimize", "--rho-lo", "1.5", "--rho-hi", "1.65", "--step", "0.05"]
+        argv += ["--grid-step", "0.15", "--prune", "14", "--workers", "1"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        meta = json.loads(err.strip().split("\n")[-1])
+        rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        results = sweep_rho(1.5, 1.65, 0.05, SearchConfig(grid_step=0.15), prune_threshold=14.0)
+        assert [row[-1] for row in rows] == ["true", "true", "false", "false"]
+        assert meta["iterations"] == [r.iterations for r in results]
+        assert meta["evaluations"] == [r.evaluations for r in results]
+        assert meta["iterations"][:2] == [0, 0] and min(meta["iterations"][2:]) > 0
+        assert min(meta["evaluations"][2:]) > 0
 
     @pytest.mark.parametrize(
         "flag, code", [("--step", 2), ("--grid-step", 4), ("--tol", 4)]
@@ -415,6 +429,23 @@ class TestGraph:
         assert code == 4
         assert out == ""
         assert "magnitude" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_coordinate_exit_three(self, capsys, tmp_path, literal):
+        # Python's JSON parser accepts these literals; the document is
+        # rejected while it is read, before any pair is measured
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"balls": [{"center": [%s, 0, 0], "radius": 1},'
+            ' {"center": [0, 0, 0], "radius": 1}, {"center": [2, 0, 0], "radius": 1}]}'
+            % literal,
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("radius", [1e-160, 1e-170])

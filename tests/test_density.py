@@ -39,6 +39,11 @@ SIMPLEX_PI6_DENSITY = 0.8974511108119744974597311
 REPORTED_OPTIMUM = 13.908778
 
 
+def search_counts(result):
+    """The fields of a SweepResult that `==` leaves out."""
+    return result.failed_starts, result.iterations, result.evaluations
+
+
 class TestDensity:
     def test_equilateral_golden_value(self):
         g = rho_geometry(1.755)
@@ -216,6 +221,22 @@ class TestMaxDensity:
         values = density_vec(g, x, y, z)
         assert np.nanmax(values) <= result.max_density + 1e-9
 
+    def test_search_counts_match_objective_calls(self, monkeypatch):
+        evaluated = []
+
+        def counting(geom, points):
+            evaluated.append(points.size // 3)
+            return _neg_density(geom, points)
+
+        monkeypatch.setattr(density_module, "_neg_density", counting)
+        cfg = SearchConfig(grid_step=0.15)
+        result = max_density(rho_geometry(1.755), cfg)
+        assert result.evaluations == sum(evaluated)
+        assert 0 < result.iterations < cfg.max_iterations
+        # a capped lane stops at its last pass: max_iterations - 1 updates
+        capped = max_density(rho_geometry(1.755), SearchConfig(max_iterations=5), [(0.3,) * 3])
+        assert capped.iterations == 4
+
     def test_area_bound_reduction(self):
         # with the density maximum replaced by 1 the objective collapses
         # to the plain area bound: 8 sqrt(3) / (4 sqrt(3) - 6) = 8 + 4 sqrt(3)
@@ -236,12 +257,30 @@ class TestSweep:
         assert results[0].rho == 1.755
 
     def test_worker_independence(self):
-        cfg = SearchConfig(grid_step=0.15)
-        seq = sweep_rho(1.74, 1.76, 0.01, cfg, workers=1)
-        par = sweep_rho(1.74, 1.76, 0.01, cfg, workers=2)
-        assert [r.rho for r in seq] == [r.rho for r in par]
-        assert [r.max_density for r in seq] == [r.max_density for r in par]
-        assert [r.argmax for r in seq] == [r.argmax for r in par]
+        # 5 ratios: 2 and 3 workers split them into uneven groups; the
+        # iteration cap keeps it quick and stops some lanes unconverged
+        cfg = SearchConfig(grid_step=0.15, max_iterations=400)
+        runs = [sweep_rho(1.74, 1.78, 0.01, cfg, workers=w) for w in (1, 2, 3)]
+        assert len(runs[0]) == 5
+        for other in runs[1:]:
+            assert other == runs[0]
+            assert [search_counts(r) for r in other] == [search_counts(r) for r in runs[0]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "lo, hi, step, threshold", [(1.74, 1.78, 0.01, None), (1.45, 1.65, 0.05, 14.0)]
+    )
+    def test_each_ratio_equals_standalone_search(self, lo, hi, step, threshold, workers):
+        # searching a ratio beside others in one loop changes none of its bits
+        cfg = SearchConfig(grid_step=0.15, max_iterations=400)
+        results = sweep_rho(lo, hi, step, cfg, prune_threshold=threshold, workers=workers)
+        searched = [r for r in results if not r.pruned]
+        if threshold is not None:
+            assert 1 < len(searched) < len(results) - 1
+        for r in searched:
+            alone = max_density(rho_geometry(r.rho), cfg)
+            assert r == alone
+            assert search_counts(r) == search_counts(alone)
 
     def test_pruning_marks_excluded_ratios(self):
         results = sweep_rho(1.50, 1.60, 0.05, SearchConfig(grid_step=0.1), prune_threshold=14.0)

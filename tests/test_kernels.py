@@ -4,8 +4,19 @@
 import numpy as np
 import pytest
 
-from kissbound import cap_area_K, density, rho_geometry, triangle_angles
-from kissbound._kernels import K_vec, density_vec, triangle_angles_vec, triangle_excess_vec
+from kissbound import RhoGeometry, cap_area_K, density, rho_geometry, triangle_angles
+from kissbound._kernels import (
+    ANGLE_GUARD,
+    PI,
+    TWO_PI,
+    K_vec,
+    _angle_arg,
+    _trig_of_sum,
+    density_vec,
+    triangle_angles_vec,
+    triangle_args_vec,
+    triangle_excess_vec,
+)
 from kissbound.certifier import DEFAULT_FP_SLACK, _GridScan
 
 import mp_oracle
@@ -33,6 +44,56 @@ def test_scalar_api_matches_kernels_bit_for_bit(rng, rho):
         assert (t.angle_x, t.angle_y, t.angle_z, t.area) == (ax[i], ay[i], az[i], area[i])
         assert cap_area_K(g, x[i]) == k[i]
         assert density(g, x[i], y[i], z[i]).density == d[i]
+
+
+def three_call_args(x, y, z):
+    """The arccos arguments as three separate arrays, one per vertex: the
+    unstacked form the stacked kernel has to reproduce."""
+    cos_yz, sin_yz = _trig_of_sum(y, z)
+    cos_xz, sin_xz = _trig_of_sum(x, z)
+    cos_xy, sin_xy = _trig_of_sum(x, y)
+    return (
+        _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy),
+        _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz),
+        _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz),
+    )
+
+
+def three_call_density(geom, x, y, z):
+    args = three_call_args(x, y, z)
+    ax, ay, az = (np.arccos(np.clip(arg, -1.0, 1.0)) for arg in args)
+    valid = np.logical_and.reduce([np.abs(arg) <= 1.0 + ANGLE_GUARD for arg in args])
+    area = np.where(valid, ax + ay + az - PI, np.nan)
+    num = K_vec(geom, x) * ax + K_vec(geom, y) * ay + K_vec(geom, z) * az
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(area > 0.0, num / (TWO_PI * area), np.nan)
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_stacked_kernels_match_three_call_form(rng, rho):
+    # one stacked clip, arccos and K give the bits of one call per vertex;
+    # wider triples reach invalid and degenerate ones too
+    g = rho_geometry(rho)
+    x, y, z = random_triples(rng, g, 10_000)
+    np.testing.assert_array_equal(triangle_args_vec(x, y, z), three_call_args(x, y, z))
+    np.testing.assert_array_equal(density_vec(g, x, y, z), three_call_density(g, x, y, z))
+    wide = rng.uniform(0.0, 1.6, size=(3, 10_000))
+    assert np.isnan(three_call_density(g, *wide)).any()
+    np.testing.assert_array_equal(density_vec(g, *wide), three_call_density(g, *wide))
+
+
+def test_K_with_lane_geometry_matches_scalar_geometry(rng):
+    # one geometry per lane, as the sweep's loop passes it, gives each lane
+    # the bits of that ratio's scalar geometry
+    geoms = [rho_geometry(rho) for rho in (1.45, *RHOS, 2.4)]
+    fields = zip(*[(g.rho, g.alpha_min, g.alpha_zero, g.alpha_max) for g in geoms])
+    owner = rng.integers(len(geoms), size=5_000)
+    lanes = RhoGeometry(*(np.array(f)[owner] for f in fields))
+    alpha = rng.uniform(lanes.alpha_min, lanes.alpha_max, size=(3, owner.size))
+    k = K_vec(lanes, alpha)
+    for r, g in enumerate(geoms):
+        mine = owner == r
+        np.testing.assert_array_equal(k[:, mine], K_vec(g, alpha[:, mine]))
 
 
 @pytest.mark.parametrize("rho", RHOS)

@@ -172,6 +172,23 @@ class TestLoadPacking:
         with pytest.raises(DomainError, match="magnitude"):
             packing_from_balls(balls)
 
+    @pytest.mark.parametrize(
+        "center, radius",
+        [
+            ((math.nan, 0.0, 0.0), 1.0),
+            ((0.0, 0.0, math.nan), 1.0),
+            ((math.inf, 0.0, 0.0), 1.0),
+            ((-1.0, 0.0, 0.0), math.nan),
+            ((-1.0, 0.0, 0.0), math.inf),
+        ],
+    )
+    def test_non_finite_ball_rejected(self, center, radius):
+        # a NaN coordinate used to fail every distance comparison, leaving
+        # ball 0 with degree 0 next to the tangent pair (1, 2)
+        balls = [Ball(center, radius), Ball((0.0, 0.0, 0.0), 1.0), Ball((2.0, 0.0, 0.0), 1.0)]
+        with pytest.raises(DomainError, match="finite"):
+            packing_from_balls(balls)
+
     @pytest.mark.parametrize("radius", [1e-160, 1e-170, 0.0])
     def test_radius_below_limit_rejected(self, radius):
         # squared distances of such balls underflow, which made this tangent
