@@ -16,12 +16,13 @@ sweep over rho locates the inflation ratio minimizing that objective.
 The maximization is a heuristic multistart Nelder-Mead search carrying no
 rigor guarantee; the certifier owns the rigorous statement.  Every start
 point gets its own simplex, a lane, and one lockstep loop advances the
-lanes together: all of a `max_density` call, or all of the ratios one
-`sweep_rho` worker holds, each lane looking up its own ratio's geometry.
-The loop's numpy calls are then shared by every lane, and the objective
-`_kernels.density_vec` runs its arccos and K stages once on the three
-vertices stacked.  Lanes never mix, so a ratio's result has the same bits
-whichever ratios share its loop.
+lanes together: all of a `max_density` call, or a run of consecutive
+ratios of a `sweep_rho` call, each lane looking up its own ratio's
+geometry.  The loop's numpy calls are then shared by every lane, and the
+objective `_kernels.density_vec` runs its arccos and K stages once on the
+three vertices stacked.  A run holds at most MAX_LOOP_LANES lanes, so a
+long sweep's memory stays bounded.  Lanes never mix, so a ratio's result
+has the same bits whichever ratios share its loop.
 """
 
 from __future__ import annotations
@@ -131,12 +132,22 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
     return TriangleDensity(x, y, z, angles, value)
 
 
-def _wedge_grid(geom: RhoGeometry, step: float) -> list[tuple[float, float, float]]:
-    """Start points covering {alpha_min <= x <= y <= z <= alpha_max}."""
+def _wedge_values(geom: RhoGeometry, step: float) -> list[float]:
+    """The start grid's coordinates: alpha_min, alpha_min + step, ..., alpha_max."""
     values = [geom.alpha_min + i * step for i in range(int(geom.interval_width / step) + 1)]
     if values[-1] < geom.alpha_max - 1e-9:
         values.append(geom.alpha_max)
-    return list(itertools.combinations_with_replacement(values, 3))
+    return values
+
+
+def _wedge_grid(geom: RhoGeometry, step: float) -> list[tuple[float, float, float]]:
+    """Start points covering {alpha_min <= x <= y <= z <= alpha_max}."""
+    return list(itertools.combinations_with_replacement(_wedge_values(geom, step), 3))
+
+
+def _wedge_size(geom: RhoGeometry, step: float) -> int:
+    """len(_wedge_grid(geom, step)), without building the grid."""
+    return math.comb(len(_wedge_values(geom, step)) + 2, 3)
 
 
 # the standard Nelder-Mead coefficients, and 5% steps for the initial simplex
@@ -325,6 +336,11 @@ def pruning_interval(
 # the most inflation ratios one sweep may search
 MAX_RHO_RATIOS = 10**6
 
+# the most (ratio, start) lanes one sweep loop holds, so that a worker's
+# memory does not grow with the sweep's length (a ratio with more starts
+# runs alone, as in max_density)
+MAX_LOOP_LANES = 16384
+
 
 def _rho_grid(rho_lo: float, rho_hi: float, step: float) -> list[float]:
     if not (1.0 < rho_lo <= rho_hi < 3.0):
@@ -361,6 +377,24 @@ def _pruned_result(rho: float, prune_threshold: float | None) -> SweepResult | N
     )
 
 
+def _sweep_loops(
+    geoms: list[RhoGeometry], cfg: SearchConfig, workers: int
+) -> list[list[RhoGeometry]]:
+    """Split geoms into runs of consecutive ratios, one lockstep loop each.
+
+    The run count is a multiple of `workers`, or one run per ratio, and
+    runs differ by at most one ratio.  A run holds at most MAX_LOOP_LANES
+    starts, unless a single ratio has more and runs alone.
+    """
+    if not geoms:
+        return []
+    widest = max(_wedge_size(g, cfg.grid_step) for g in geoms)
+    per_loop = max(1, MAX_LOOP_LANES // widest)
+    n = len(geoms)
+    count = min(n, workers * -(-n // (workers * per_loop)))
+    return [geoms[n * i // count : n * (i + 1) // count] for i in range(count)]
+
+
 def sweep_rho(
     rho_lo: float,
     rho_hi: float,
@@ -374,11 +408,13 @@ def sweep_rho(
     With prune_threshold set, ratios whose equilateral lower bound already
     reaches the threshold are skipped (marked pruned) instead of searched;
     without it the full interval is searched.  The ratios left are split
-    into at most `workers` contiguous groups (None: KISSBOUND_THREADS, else
-    all cores), one per process, and each group's ratios run in one
-    lockstep loop, which pays its per-iteration cost once per group
-    instead of once per ratio.  Lanes never mix, so results come back in
-    grid order, are identical for any worker count, and each equals
+    into runs of consecutive ratios, as many for each of the `workers`
+    processes (None: KISSBOUND_THREADS, else all cores), and each run is
+    searched in one lockstep loop, which pays its per-iteration cost once
+    per run instead of once per ratio.  A run holds at most MAX_LOOP_LANES
+    starts unless one ratio has more, which bounds a worker's memory on
+    long sweeps.  Lanes never mix, so results come back in grid order, are
+    identical for any worker count, and each equals
     `max_density(rho_geometry(rho), cfg)`.
     """
     if prune_threshold is not None and not math.isfinite(prune_threshold):
@@ -387,14 +423,15 @@ def sweep_rho(
     grid = _rho_grid(rho_lo, rho_hi, step)
     results = [_pruned_result(rho, prune_threshold) for rho in grid]
     todo = [rho_geometry(rho) for rho, r in zip(grid, results) if r is None]
-    n, groups = len(todo), min(_resolve_workers(workers), len(todo))
-    jobs = [todo[n * g // groups : n * (g + 1) // groups] for g in range(groups)]
+    workers = _resolve_workers(workers)
+    loops = _sweep_loops(todo, cfg, workers)
     search = functools.partial(_search, cfg=cfg)
-    if groups > 1:
-        with multiprocessing.get_context("fork").Pool(processes=groups) as pool:
-            searched = pool.map(search, jobs, chunksize=1)
+    processes = min(workers, len(loops))
+    if processes > 1:
+        with multiprocessing.get_context("fork").Pool(processes=processes) as pool:
+            searched = pool.map(search, loops, chunksize=1)
     else:
-        searched = map(search, jobs)
+        searched = map(search, loops)
     found = itertools.chain.from_iterable(searched)
     return [r if r is not None else next(found) for r in results]
 

@@ -282,6 +282,49 @@ class TestSweep:
             assert r == alone
             assert search_counts(r) == search_counts(alone)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_sweep_loops_bound_lanes_and_balance(self, monkeypatch, workers, cap):
+        cfg = SearchConfig(grid_step=0.15)
+        geoms = [rho_geometry(1.70 + 0.01 * i) for i in range(11)]
+        sizes = [len(_wedge_grid(g, cfg.grid_step)) for g in geoms]
+        # room for `cap` of the widest ratios; cap 1 leaves one ratio per loop
+        monkeypatch.setattr(density_module, "MAX_LOOP_LANES", cap * max(sizes) + 1)
+        loops = density_module._sweep_loops(geoms, cfg, workers)
+        assert [g for loop in loops for g in loop] == geoms
+        assert len(loops) % workers == 0 or len(loops) == len(geoms)
+        assert max(map(len, loops)) - min(map(len, loops)) <= 1
+        for loop in loops:
+            lanes = sum(sizes[geoms.index(g)] for g in loop)
+            assert lanes <= density_module.MAX_LOOP_LANES
+            assert lanes == sum(density_module._wedge_size(g, cfg.grid_step) for g in loop)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_long_sweep_runs_in_bounded_loops(self, monkeypatch, workers):
+        # with room for two ratios per loop, a 7-ratio sweep runs in 4
+        # loops, and every ratio still equals its standalone search
+        cfg = SearchConfig(grid_step=0.15, max_iterations=400)
+        widest = max(len(_wedge_grid(rho_geometry(1.74 + 0.005 * i), 0.15)) for i in range(7))
+        monkeypatch.setattr(density_module, "MAX_LOOP_LANES", 2 * widest)
+        searched = []
+        search = density_module._search
+
+        def recording(geoms, cfg, starts=None):
+            searched.append([g.rho for g in geoms])
+            return search(geoms, cfg, starts)
+
+        if workers == 1:
+            # the pool pickles what it maps, so only the in-process path records
+            monkeypatch.setattr(density_module, "_search", recording)
+        results = sweep_rho(1.74, 1.77, 0.005, cfg, workers=workers)
+        assert len(results) == 7
+        if workers == 1:
+            assert [len(loop) for loop in searched] == [1, 2, 2, 2]
+        for r in results:
+            alone = max_density(rho_geometry(r.rho), cfg)
+            assert r == alone
+            assert search_counts(r) == search_counts(alone)
+
     def test_pruning_marks_excluded_ratios(self):
         results = sweep_rho(1.50, 1.60, 0.05, SearchConfig(grid_step=0.1), prune_threshold=14.0)
         by_rho = {round(r.rho, 3): r for r in results}
