@@ -28,25 +28,26 @@ grid box inside it can hold the maximum.  The box that does is never
 dropped, so max_box_bound equals the maximum over every grid box bit for
 bit, and boxes_checked counts every grid box, evaluated or dropped.
 
-The scan is deterministic: slabs of top-level boxes are reduced in order,
-the reduction is an exact max, and the resulting certificate is
-byte-identical for any worker count.  The arithmetic is plain IEEE
-double; the certificate is rigorous modulo rounding of the elementary
-functions, which the configurable multiplicative fp_slack makes explicit.
+The scan is deterministic: slabs of top-level boxes go to the worker
+processes one at a time (`_parallel.ordered_map`; the workers inherit the
+scan's tables through fork) and are reduced in slab order by an exact max,
+so the certificate is byte-identical for any worker count.  The arithmetic
+is plain IEEE double; the certificate is rigorous modulo rounding of the
+elementary functions, which the configurable multiplicative fp_slack makes
+explicit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._parallel import ordered_map, resolve_workers
 from .caps import RhoGeometry, check_rho, rho_geometry
 from .errors import CertificateError, DomainError
 
@@ -339,31 +340,6 @@ class _GridScan:
         return best, _tetra(n - lo) - _tetra(n - hi), best_idx
 
 
-_SCAN_STATE: _GridScan | None = None
-
-
-def _scan_slab(i: int):
-    assert _SCAN_STATE is not None
-    return _SCAN_STATE.slab_max(i)
-
-
-def _resolve_workers(workers: int | None) -> int:
-    """Worker count: the given one, else KISSBOUND_THREADS, else all cores."""
-    if workers is None:
-        env = os.environ.get("KISSBOUND_THREADS")
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise DomainError(f"KISSBOUND_THREADS must be a positive integer, got {env!r}")
-    if workers < 1:
-        raise DomainError(f"worker count must be positive, got {workers!r}")
-    return workers
-
-
 # checkpoint floats are stored as hex to survive JSON round-trips exactly;
 # "scan" and "top" fix what a slab index means
 def _checkpoint_params(rho, delta, target, fp_slack, scan):
@@ -433,16 +409,16 @@ def certify(
     fp_slack: float = DEFAULT_FP_SLACK,
     workers: int | None = 1,
     checkpoint_path: str | None = None,
-    checkpoint_every: int = CHECKPOINT_EVERY,
     on_progress=None,
 ) -> Certificate:
     """Bound every box of the symmetry-reduced subdivision and certify.
 
-    Deterministic for any worker count: slabs of top-level boxes are
-    reduced in order, and the max reduction is exact.  When
-    checkpoint_path exists and matches the parameters, the scan resumes
-    after the last completed slab; the file is removed on completion, and
-    one that is not a checkpoint of this scan raises CertificateError.
+    Slabs are scanned by `workers` processes (None: KISSBOUND_THREADS,
+    else all cores; at most one per slab left) and reduced in order, so the
+    certificate is identical for any worker count.  The scan state goes to
+    checkpoint_path every CHECKPOINT_EVERY boxes and is removed on success;
+    a matching file resumes the scan, any other raises CertificateError.
+    on_progress(boxes_done, total) is called after each slab.
 
     Returns the Certificate; passed is True iff
     max_box_bound * objective_factor(rho) * (1 + fp_slack) < target.
@@ -451,10 +427,10 @@ def certify(
         raise DomainError(f"target must be positive and finite, got {target!r}")
     if not 0.0 <= fp_slack < math.inf:
         raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
+    workers = resolve_workers(workers)
     geom = rho_geometry(rho)
     scan = _GridScan(geom, delta)
     total = scan.total_boxes()
-    workers = _resolve_workers(workers)
 
     params = _checkpoint_params(rho, delta, target, fp_slack, scan)
     start_slab, boxes_done, max_so_far, argmax = 0, 0, -math.inf, (0, 0, 0)
@@ -463,33 +439,18 @@ def certify(
             checkpoint_path, params, scan.slabs
         )
 
-    global _SCAN_STATE
-    _SCAN_STATE = scan
-    since_checkpoint = 0
+    written = boxes_done
     slabs = range(start_slab, scan.slabs)
-    try:
-        with contextlib.ExitStack() as stack:
-            if workers == 1 or not slabs:
-                results = map(_scan_slab, slabs)
-            else:
-                ctx = multiprocessing.get_context("fork")
-                pool = stack.enter_context(ctx.Pool(processes=workers))
-                results = pool.imap(_scan_slab, slabs, chunksize=1)
-            for i, (value, count, idx) in zip(slabs, results):
-                if value > max_so_far:
-                    max_so_far = value
-                    argmax = idx
-                boxes_done += count
-                since_checkpoint += count
-                if checkpoint_path and since_checkpoint >= checkpoint_every:
-                    _write_checkpoint(
-                        checkpoint_path, params, i + 1, boxes_done, max_so_far, argmax
-                    )
-                    since_checkpoint = 0
-                if on_progress is not None:
-                    on_progress(boxes_done, total)
-    finally:
-        _SCAN_STATE = None
+    with ordered_map(scan.slab_max, slabs, workers) as results:
+        for i, (value, count, idx) in zip(slabs, results):
+            if value > max_so_far:
+                max_so_far, argmax = value, idx
+            boxes_done += count
+            if checkpoint_path and boxes_done - written >= CHECKPOINT_EVERY:
+                _write_checkpoint(checkpoint_path, params, i + 1, boxes_done, max_so_far, argmax)
+                written = boxes_done
+            if on_progress is not None:
+                on_progress(boxes_done, total)
 
     if boxes_done != total:
         raise CertificateError(

@@ -26,11 +26,14 @@ import sys
 import time
 
 from . import __version__
-from .certifier import _resolve_workers, certify, emit_certificate
+from ._parallel import resolve_workers
+from .certifier import DEFAULT_FP_SLACK, certify, emit_certificate
 from .density import SearchConfig, sweep_rho, sweep_to_csv
 from .errors import DomainError, KissboundError, PackingError
-from .highdim import a_of_d, k_bound_highdim
-from .packings import audit_to_csv, contact_graph, coverage_audit, load_packing
+from .highdim import MAX_DIMENSION, MIN_DIMENSION, a_of_d, k_bound_highdim
+from .packings import (
+    DEFAULT_TOLERANCE, audit_to_csv, contact_graph, coverage_audit, load_packing
+)
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -44,21 +47,19 @@ def _dimension_arg(text: str) -> int:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"dimension must be an integer, got {text!r}") from exc
-    if not (3 <= value <= 64):
-        raise argparse.ArgumentTypeError(f"dimension must lie in [3, 64], got {value}")
+    if not (MIN_DIMENSION <= value <= MAX_DIMENSION):
+        raise argparse.ArgumentTypeError(
+            f"dimension must lie in [{MIN_DIMENSION}, {MAX_DIMENSION}], got {value}"
+        )
     return value
 
 
 class _UsageError(Exception):
     pass
 
-DEFAULTS = {
-    "delta": 0.0005,
-    "fp_slack": 1e-9,
-    "grid_step": 0.05,
-    "search_tol": 1e-10,
-    "tolerance": 1e-9,
-}
+
+# certify's default grid side, the one behind the paper's k3 < 13.955
+DEFAULT_DELTA = 0.0005
 
 
 def _metadata(args: argparse.Namespace, started: float, outputs: dict[str, str]) -> dict:
@@ -86,7 +87,7 @@ def _write_sidecar(path: str, metadata: dict) -> None:
 def _resolve_worker_arg(args: argparse.Namespace) -> None:
     """Resolve --workers in place, so the sidecar records the count used."""
     try:
-        args.workers = _resolve_workers(args.workers)
+        args.workers = resolve_workers(args.workers)
     except DomainError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -214,32 +215,28 @@ def cmd_graph(args: argparse.Namespace) -> int:
         return EXIT_IO
     packing = load_packing(document, tolerance=args.tolerance)
     graph = contact_graph(packing)
-    outputs = {}
+    summary = (
+        f"balls: {graph.vertex_count}\nedges: {len(graph.edges)}\n"
+        f"average_degree: {graph.average_degree:.12g}\n"
+    )
     if args.rho is not None:
         audit = coverage_audit(packing, args.rho)
         csv_text = audit_to_csv(audit)
-        if args.format == "csv":
-            sys.stdout.write(csv_text)
-        else:
-            print(f"balls: {graph.vertex_count}")
-            print(f"edges: {len(graph.edges)}")
-            print(f"average_degree: {graph.average_degree:.12g}")
-            print(f"edge_sum: {audit.edge_sum:.12g}")
-            print(f"edge_sum_floor: {audit.edge_sum_floor:.12g}")
-            print(f"edge_sum_ok: {'true' if audit.edge_sum_ok else 'false'}")
-            sys.stdout.write(csv_text)
-        outputs["stdout"] = _sha256(csv_text)
+        if args.format != "csv":
+            sys.stdout.write(
+                f"{summary}edge_sum: {audit.edge_sum:.12g}\n"
+                f"edge_sum_floor: {audit.edge_sum_floor:.12g}\n"
+                f"edge_sum_ok: {'true' if audit.edge_sum_ok else 'false'}\n"
+            )
+        sys.stdout.write(csv_text)
+        outputs = {"stdout": _sha256(csv_text)}
     else:
         if args.format == "csv":
-            text = "vertices,edges,average_degree\n" + (
+            summary = "vertices,edges,average_degree\n" + (
                 f"{graph.vertex_count},{len(graph.edges)},{graph.average_degree:.12g}\n"
             )
-            sys.stdout.write(text)
-        else:
-            print(f"balls: {graph.vertex_count}")
-            print(f"edges: {len(graph.edges)}")
-            print(f"average_degree: {graph.average_degree:.12g}")
-        outputs["stdout"] = _sha256(f"{graph.average_degree:.17g}")
+        sys.stdout.write(summary)
+        outputs = {"stdout": _sha256(f"{graph.average_degree:.17g}")}
     print(json.dumps(_metadata(args, started, outputs)), file=sys.stderr)
     return EXIT_OK
 
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("highdim", help="area-argument bound a(d) or 2/f_d(rho)")
-    p.add_argument("--d", type=_dimension_arg, required=True, help="dimension in [3, 64]")
+    p.add_argument("--d", type=_dimension_arg, required=True, help=f"dimension in [{MIN_DIMENSION}, {MAX_DIMENSION}]")
     p.add_argument("--rho", type=float, default=None, help="inflation ratio in (1,3)")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_highdim)
@@ -265,10 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--grid-step",
         type=float,
-        default=DEFAULTS["grid_step"],
+        default=SearchConfig.grid_step,
         help="start-grid spacing of the multistart search",
     )
-    p.add_argument("--tol", type=float, default=DEFAULTS["search_tol"])
+    p.add_argument("--tol", type=float, default=SearchConfig.tol)
     p.add_argument(
         "--prune",
         type=float,
@@ -281,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="grid certification of the k3 bound")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, default=DEFAULTS["delta"])
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--fp-slack", type=float, default=DEFAULTS["fp_slack"])
+    p.add_argument("--fp-slack", type=float, default=DEFAULT_FP_SLACK)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resuming")
     p.add_argument("--output", default="certificate.txt")
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="contact graph statistics of a packing file")
     p.add_argument("input", help="packing document (JSON)")
     p.add_argument("--rho", type=float, default=None, help="run the coverage audit")
-    p.add_argument("--tolerance", type=float, default=DEFAULTS["tolerance"])
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_graph)
     return parser
@@ -308,16 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except PackingError as exc:
+    except (PackingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except KissboundError as exc:
+    except KissboundError as exc:  # DomainError and the numeric failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

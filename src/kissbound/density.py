@@ -20,9 +20,10 @@ lanes together: all of a `max_density` call, or a run of consecutive
 ratios of a `sweep_rho` call, each lane looking up its own ratio's
 geometry.  The loop's numpy calls are then shared by every lane, and the
 objective `_kernels.density_vec` runs its arccos and K stages once on the
-three vertices stacked.  A run holds at most MAX_LOOP_LANES lanes, so a
-long sweep's memory stays bounded.  Lanes never mix, so a ratio's result
-has the same bits whichever ratios share its loop.
+three vertices stacked.  A run holds at most MAX_LOOP_LANES lanes, and a
+ratio at most MAX_STARTS.  `sweep_rho` hands runs to worker processes
+through `_parallel.ordered_map`.  Lanes never mix, so a ratio's result has
+the same bits whichever ratios share its loop and whichever worker runs it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import density_vec
+from ._parallel import ordered_map, resolve_workers
 from .caps import RhoGeometry, TriangleAngles, rho_geometry, triangle_angles
-from .certifier import _resolve_workers, objective_factor
+from .certifier import objective_factor
 from .errors import DegenerateTriangleError, DomainError, KissboundError
 
 __all__ = [
@@ -133,11 +134,19 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
 
 
 def _wedge_values(geom: RhoGeometry, step: float) -> list[float]:
-    """The start grid's coordinates: alpha_min, alpha_min + step, ..., alpha_max."""
-    values = [geom.alpha_min + i * step for i in range(int(geom.interval_width / step) + 1)]
-    if values[-1] < geom.alpha_max - 1e-9:
-        values.append(geom.alpha_max)
-    return values
+    """The start grid's coordinates: alpha_min, alpha_min + step, ..., alpha_max.
+
+    DomainError, before any is built, when they give over MAX_STARTS starts.
+    """
+    cells = geom.interval_width / step
+    # v values give comb(v + 2, 3) >= v starts, so cells is bounded (inf too) first
+    count = int(cells) + 1 if cells < MAX_STARTS else MAX_STARTS
+    short = geom.alpha_min + (count - 1) * step < geom.alpha_max - 1e-9
+    if math.comb(count + short + 2, 3) > MAX_STARTS:
+        raise DomainError(
+            f"grid step {step!r} gives more than {MAX_STARTS} start points at rho {geom.rho!r}"
+        )
+    return [geom.alpha_min + i * step for i in range(count)] + [geom.alpha_max] * short
 
 
 def _wedge_grid(geom: RhoGeometry, step: float) -> list[tuple[float, float, float]]:
@@ -286,9 +295,8 @@ def pruning_objective(rho: float) -> float:
     Used to exclude inflation ratios: where even this value reaches the
     pruning threshold, the true objective cannot be smaller.
     """
-    geom = rho_geometry(rho)
-    a0 = geom.alpha_zero
-    return density(geom, a0, a0, a0).density * objective_factor(rho)
+    # every ratio's lower bound reaches a threshold of -inf
+    return _pruned_result(rho, -math.inf).objective
 
 
 def pruning_interval(
@@ -336,6 +344,9 @@ def pruning_interval(
 # the most inflation ratios one sweep may search
 MAX_RHO_RATIOS = 10**6
 
+# the most start points one ratio's search may hold, at about 1.2 KB each
+MAX_STARTS = 10**6
+
 # the most (ratio, start) lanes one sweep loop holds, so that a worker's
 # memory does not grow with the sweep's length (a ratio with more starts
 # runs alone, as in max_density)
@@ -364,16 +375,12 @@ def _pruned_result(rho: float, prune_threshold: float | None) -> SweepResult | N
         return None
     geom = rho_geometry(rho)
     a0 = geom.alpha_zero
-    equilateral = density(geom, a0, a0, a0)
-    lower_bound = equilateral.density * objective_factor(rho)
+    value = density(geom, a0, a0, a0).density
+    lower_bound = value * objective_factor(rho)
     if lower_bound < prune_threshold:
         return None
     return SweepResult(
-        rho=rho,
-        max_density=equilateral.density,
-        argmax=(a0, a0, a0),
-        objective=lower_bound,
-        pruned=True,
+        rho=rho, max_density=value, argmax=(a0, a0, a0), objective=lower_bound, pruned=True
     )
 
 
@@ -386,9 +393,7 @@ def _sweep_loops(
     runs differ by at most one ratio.  A run holds at most MAX_LOOP_LANES
     starts, unless a single ratio has more and runs alone.
     """
-    if not geoms:
-        return []
-    widest = max(_wedge_size(g, cfg.grid_step) for g in geoms)
+    widest = max((_wedge_size(g, cfg.grid_step) for g in geoms), default=1)
     per_loop = max(1, MAX_LOOP_LANES // widest)
     n = len(geoms)
     count = min(n, workers * -(-n // (workers * per_loop)))
@@ -409,13 +414,14 @@ def sweep_rho(
     reaches the threshold are skipped (marked pruned) instead of searched;
     without it the full interval is searched.  The ratios left are split
     into runs of consecutive ratios, as many for each of the `workers`
-    processes (None: KISSBOUND_THREADS, else all cores), and each run is
-    searched in one lockstep loop, which pays its per-iteration cost once
-    per run instead of once per ratio.  A run holds at most MAX_LOOP_LANES
-    starts unless one ratio has more, which bounds a worker's memory on
-    long sweeps.  Lanes never mix, so results come back in grid order, are
-    identical for any worker count, and each equals
-    `max_density(rho_geometry(rho), cfg)`.
+    processes (None: KISSBOUND_THREADS, else all cores; never more
+    processes than runs), and each run is searched in one lockstep loop,
+    which pays its per-iteration cost once per run instead of once per
+    ratio.  A run holds at most MAX_LOOP_LANES starts unless one ratio has
+    more, which bounds a worker's memory on long sweeps; a ratio with more
+    than MAX_STARTS starts raises DomainError.  Lanes never mix, so results
+    come back in grid order, are identical for any worker count, and each
+    equals `max_density(rho_geometry(rho), cfg)`.
     """
     if prune_threshold is not None and not math.isfinite(prune_threshold):
         raise DomainError(f"prune threshold must be finite, got {prune_threshold!r}")
@@ -423,17 +429,11 @@ def sweep_rho(
     grid = _rho_grid(rho_lo, rho_hi, step)
     results = [_pruned_result(rho, prune_threshold) for rho in grid]
     todo = [rho_geometry(rho) for rho, r in zip(grid, results) if r is None]
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     loops = _sweep_loops(todo, cfg, workers)
-    search = functools.partial(_search, cfg=cfg)
-    processes = min(workers, len(loops))
-    if processes > 1:
-        with multiprocessing.get_context("fork").Pool(processes=processes) as pool:
-            searched = pool.map(search, loops, chunksize=1)
-    else:
-        searched = map(search, loops)
-    found = itertools.chain.from_iterable(searched)
-    return [r if r is not None else next(found) for r in results]
+    with ordered_map(functools.partial(_search, cfg=cfg), loops, workers) as searched:
+        found = itertools.chain.from_iterable(searched)
+        return [r if r is not None else next(found) for r in results]
 
 
 SWEEP_CSV_HEADER = "rho,max_density,x,y,z,objective"

@@ -65,25 +65,21 @@ def _default_panels(d: int) -> int:
     return 8 + d // 4
 
 
-def profile_integral(d: int, upper: float, panels: int | None = None) -> float:
+def profile_integral(d: int, upper: float) -> float:
     """I_d(upper) = integral_0^upper t^((d-3)/2) (1-t)^(-1/2) dt.
 
     Evaluated after t = sin^2(theta) as integral of 2 sin^(d-2)(theta)
     over [0, arcsin(sqrt(upper))] with a composite Gauss-Legendre rule of
-    `panels` equal panels (16 points each).
+    _default_panels(d) equal panels (16 points each).
     """
     _check_dimension(d)
     if not (0.0 <= upper <= 1.0):
         raise DomainError(f"integration limit must lie in [0, 1], got {upper!r}")
-    if upper == 0.0:
-        return 0.0
     theta_max = math.asin(math.sqrt(upper))
-    return _sin_power_integral(d, theta_max, panels or _default_panels(d))
+    return _sin_power_integral(d, theta_max, _default_panels(d))
 
 
 def _sin_power_integral(d: int, theta_max: float, panels: int) -> float:
-    if panels < 1:
-        raise DomainError(f"panel count must be positive, got {panels!r}")
     nodes, weights = _gl_nodes(GL_POINTS)
     edges = np.linspace(0.0, theta_max, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -93,7 +89,7 @@ def _sin_power_integral(d: int, theta_max: float, panels: int) -> float:
     return float(np.sum(half[:, None] * weights[None, :] * values))
 
 
-def cap_area_d(d: int, alpha: float, panels: int | None = None) -> float:
+def cap_area_d(d: int, alpha: float) -> float:
     """(d-1)-dimensional area of a spherical cap of radius alpha, unit sphere.
 
     A(alpha) = (pi^((d-1)/2) / Gamma((d-1)/2)) I_d(sin^2 alpha); for d = 3
@@ -104,7 +100,7 @@ def cap_area_d(d: int, alpha: float, panels: int | None = None) -> float:
         raise DomainError(f"cap radius must lie in [0, pi/2], got {alpha!r}")
     prefactor = math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
     theta_max = min(alpha, math.pi / 2.0)
-    return prefactor * _sin_power_integral(d, theta_max, panels or _default_panels(d))
+    return prefactor * _sin_power_integral(d, theta_max, _default_panels(d))
 
 
 def sphere_area(d: int) -> float:
@@ -113,7 +109,7 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def g_profile(d: int, C: float, x: float, panels: int | None = None) -> float:
+def g_profile(d: int, C: float, x: float) -> float:
     """Two-cap profile sum g(x) = I_d(1 - x^2) + I_d(1 - (C - x)^2).
 
     Here C = cos(alpha) + cos(beta) is the tangency constraint constant in
@@ -126,12 +122,10 @@ def g_profile(d: int, C: float, x: float, panels: int | None = None) -> float:
         raise DomainError(f"cosine sum constant must lie in (1, 2), got {C!r}")
     if not (C - 1.0 <= x <= 1.0):
         raise DomainError(f"cosine value must lie in [{C - 1.0!r}, 1], got {x!r}")
-    return profile_integral(d, 1.0 - x * x, panels) + profile_integral(
-        d, 1.0 - (C - x) * (C - x), panels
-    )
+    return profile_integral(d, 1.0 - x * x) + profile_integral(d, 1.0 - (C - x) * (C - x))
 
 
-def f_d(d: int, rho: float, panels: int | None = None) -> float:
+def f_d(d: int, rho: float) -> float:
     """Minimum two-sided coverage fraction of a tangent pair in dimension d.
 
     The minimum over radius ratios is attained by congruent balls, where
@@ -145,16 +139,15 @@ def f_d(d: int, rho: float, panels: int | None = None) -> float:
     check_rho(rho)
     cos_cap = (rho * rho + 3.0) / (4.0 * rho)
     upper = 1.0 - cos_cap * cos_cap
-    return profile_integral(d, upper, panels) / profile_integral(d, 1.0, panels)
+    return profile_integral(d, upper) / profile_integral(d, 1.0)
 
 
-def a_of_d(d: int, panels: int | None = None) -> float:
+def a_of_d(d: int) -> float:
     """Area-argument upper bound a(d) = 2 I_d(1) / I_d(1/4) on k_d.
 
     Equals 2 / f_d(sqrt(3)); a(3) = 8 + 4 sqrt(3).
     """
-    _check_dimension(d)
-    return 2.0 * profile_integral(d, 1.0, panels) / profile_integral(d, 0.25, panels)
+    return 2.0 * profile_integral(d, 1.0) / profile_integral(d, 0.25)
 
 
 @dataclass(frozen=True)
@@ -170,7 +163,7 @@ class DimBoundResult:
     bound: float
 
 
-def k_bound_highdim(d: int, rho: float, panels: int | None = None) -> DimBoundResult:
+def k_bound_highdim(d: int, rho: float) -> DimBoundResult:
     """Average-degree bound 2 / f_d(rho) in dimension d."""
-    minimum = f_d(d, rho, panels)
+    minimum = f_d(d, rho)
     return DimBoundResult(d=d, rho=rho, f_d=minimum, bound=2.0 / minimum)

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
+# how far a ball's coverage sum may exceed the audit's max density reference
+DENSITY_MARGIN = 1e-6
 # candidate pairs per distance batch, which bounds the sweep's temporaries
 MAX_PAIR_BATCH = 8_192
 # largest coordinate or radius magnitude: squared distances of such balls
@@ -255,7 +257,7 @@ class CoverageAudit:
     rows are (ball_index, degree, coverage_sum); edge_sum is the two-sided
     coverage total over all contact edges, which is at least
     pair_sum_value(rho) * edge_count.  per_ball_ok reports whether every
-    per-ball sum stays within max_density_ref + tolerance.
+    per-ball sum stays within max_density_ref + DENSITY_MARGIN.
     """
 
     rho: float
@@ -274,7 +276,6 @@ def coverage_audit(
     packing: Packing,
     rho: float,
     max_density_ref: float | None = None,
-    density_margin: float = 1e-6,
 ) -> CoverageAudit:
     """Check the coverage identities on a concrete packing.
 
@@ -304,13 +305,13 @@ def coverage_audit(
     per_ball_ok: bool | None = None
     if max_density_ref is not None:
         per_ball_ok = True
-        limit = max_density_ref + density_margin
+        limit = max_density_ref + DENSITY_MARGIN
         for index, _, value in rows:
             if value > limit:
                 per_ball_ok = False
                 violations.append(
                     f"ball {index} coverage sum {value!r} exceeds "
-                    f"max density {max_density_ref!r} + {density_margin!r}"
+                    f"max density {max_density_ref!r} + {DENSITY_MARGIN!r}"
                 )
     return CoverageAudit(
         rho=rho,

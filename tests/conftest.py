@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 
 import numpy as np
@@ -26,3 +27,14 @@ def sample_nonempty_pairs(rng, count):
     hi = 2.0 / (rho - 1.0)
     ratio = lo + rng.uniform(0.0, 1.0, size=count) * (hi - lo)
     return rho, r1, r1 * ratio
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves worker processes running after it."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join(5)
+    assert not leaked, f"worker processes left running: {leaked}"

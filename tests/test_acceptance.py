@@ -26,6 +26,7 @@ from kissbound import (
     rho_geometry,
     sweep_rho,
 )
+from kissbound import certifier as certifier_module
 from kissbound._kernels import box_density_upper_vec, density_vec
 from kissbound.caps import aux_cap_threshold_radius, min_nonempty_radius
 
@@ -211,9 +212,7 @@ def test_criterion_09_packing_audit():
     graph = contact_graph(packing)
     interior_degree = graph.degrees()[0]
     certified = certify(1.755, 0.01, 20.0, workers=1)
-    audit = coverage_audit(
-        packing, 1.755, max_density_ref=certified.max_box_bound, density_margin=1e-6
-    )
+    audit = coverage_audit(packing, 1.755, max_density_ref=certified.max_box_bound)
     ok = (
         interior_degree == 12
         and graph.average_degree <= 13.955
@@ -230,18 +229,14 @@ def test_criterion_09_packing_audit():
     )
 
 
-def test_criterion_10_certificate_determinism(tmp_path):
+def test_criterion_10_certificate_determinism(monkeypatch, tmp_path):
     texts = []
     for workers in (1, 2, max(1, WORKERS)):
         cert = certify(1.755, 0.004, 14.5, workers=workers)
         texts.append(emit_certificate(cert))
+    monkeypatch.setattr(certifier_module, "CHECKPOINT_EVERY", 100_000)
     checkpointed = certify(
-        1.755,
-        0.004,
-        14.5,
-        workers=1,
-        checkpoint_path=str(tmp_path / "ckpt.json"),
-        checkpoint_every=100_000,
+        1.755, 0.004, 14.5, workers=1, checkpoint_path=str(tmp_path / "ckpt.json")
     )
     texts.append(emit_certificate(checkpointed))
     ok = all(text == texts[0] for text in texts)

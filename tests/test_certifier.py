@@ -28,6 +28,7 @@ from kissbound._kernels import (
     triangle_excess_vec,
     triangle_angles_vec,
 )
+from kissbound import certifier as certifier_module
 from kissbound.certifier import _GridScan, _checkpoint_params
 
 RHO = 1.755
@@ -332,7 +333,8 @@ class TestCertify:
         assert mid.certified_bound <= coarse.certified_bound + 1e-9
 
     @staticmethod
-    def _crash_and_resume(path, workers, delta=0.01):
+    def _crash_and_resume(monkeypatch, path, workers, delta=0.01):
+        monkeypatch.setattr(certifier_module, "CHECKPOINT_EVERY", 2_000)
         calls = [0]
 
         def interrupt(done, total):
@@ -347,34 +349,34 @@ class TestCertify:
                 14.5,
                 workers=workers,
                 checkpoint_path=path,
-                checkpoint_every=2_000,
                 on_progress=interrupt,
             )
         assert os.path.exists(path)
-        resumed = certify(
-            RHO, delta, 14.5, workers=workers, checkpoint_path=path, checkpoint_every=2_000
-        )
+        resumed = certify(RHO, delta, 14.5, workers=workers, checkpoint_path=path)
         assert not os.path.exists(path)
         return resumed
 
-    def test_checkpoint_resume_identical(self, tmp_path):
+    def test_checkpoint_resume_identical(self, monkeypatch, tmp_path):
         reference = certify(RHO, 0.01, 14.5, workers=1)
-        resumed = self._crash_and_resume(str(tmp_path / "scan.ckpt"), workers=1)
+        resumed = self._crash_and_resume(monkeypatch, str(tmp_path / "scan.ckpt"), workers=1)
         assert emit_certificate(resumed) == emit_certificate(reference)
 
-    def test_checkpoint_resume_identical_pool(self, tmp_path):
+    def test_checkpoint_resume_identical_pool(self, monkeypatch, tmp_path):
         reference = certify(RHO, 0.01, 14.5, workers=1)
-        resumed = self._crash_and_resume(str(tmp_path / "scan.ckpt"), workers=2)
+        resumed = self._crash_and_resume(monkeypatch, str(tmp_path / "scan.ckpt"), workers=2)
         assert emit_certificate(resumed) == emit_certificate(reference)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_checkpoint_resume_identical_levels(self, tmp_path, workers):
+    def test_checkpoint_resume_identical_levels(self, monkeypatch, tmp_path, workers):
         # at delta 0.004 the slabs are four grid rows deep and pruned
         reference = certify(RHO, 0.004, 14.5, workers=1)
-        resumed = self._crash_and_resume(str(tmp_path / "scan.ckpt"), workers, delta=0.004)
+        resumed = self._crash_and_resume(
+            monkeypatch, str(tmp_path / "scan.ckpt"), workers, delta=0.004
+        )
         assert emit_certificate(resumed) == emit_certificate(reference)
 
-    def test_checkpoint_parameter_mismatch(self, tmp_path):
+    def test_checkpoint_parameter_mismatch(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(certifier_module, "CHECKPOINT_EVERY", 1_000)
         path = str(tmp_path / "scan.ckpt")
 
         def interrupt(done, total):
@@ -387,7 +389,6 @@ class TestCertify:
                 14.5,
                 workers=1,
                 checkpoint_path=path,
-                checkpoint_every=1_000,
                 on_progress=interrupt,
             )
         assert os.path.exists(path)
@@ -437,6 +438,15 @@ class TestCertify:
             monkeypatch.setenv("KISSBOUND_THREADS", text)
             with pytest.raises(DomainError, match="KISSBOUND_THREADS"):
                 certify(RHO, 0.01, 14.5, workers=None)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_invalid_worker_count_rejected_before_the_scan(self, monkeypatch, workers):
+        def no_scan(*args):
+            raise AssertionError("grid tables built for an invalid worker count")
+
+        monkeypatch.setattr(certifier_module, "_GridScan", no_scan)
+        with pytest.raises(DomainError, match="worker count"):
+            certify(RHO, 0.0005, 14.5, workers=workers)
 
 
 class TestCertificateIO:

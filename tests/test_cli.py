@@ -3,7 +3,9 @@ import json
 import pytest
 
 from kissbound import SearchConfig, parse_certificate, sweep_rho
-from kissbound.cli import main
+from kissbound.certifier import DEFAULT_FP_SLACK
+from kissbound.cli import build_parser, main
+from kissbound.packings import DEFAULT_TOLERANCE
 
 from conftest import data_path
 
@@ -201,6 +203,22 @@ class TestOptimize:
         assert exit_code == code
         assert out == ""
         assert "step" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid_step", ["5e-324", "1e-6"])
+    def test_oversized_start_grid_exit_four(self, capsys, grid_step):
+        code, out, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", "1.75",
+            "--rho-hi", "1.75",
+            "--step", "0.01",
+            "--grid-step", grid_step,
+            "--workers", "1",
+        )
+        assert code == 4
+        assert out == ""
+        assert "start points" in err
         assert "Traceback" not in err
 
     def test_invalid_interval_usage_error(self, capsys):
@@ -471,3 +489,13 @@ class TestGraph:
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, "graph", "/nonexistent/path.json")
         assert code == 3
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    sweep = parser.parse_args(["optimize", "--rho-lo", "1.7", "--rho-hi", "1.8", "--step", "0.1"])
+    assert (sweep.grid_step, sweep.tol) == (SearchConfig().grid_step, SearchConfig().tol)
+    cert = parser.parse_args(["certify", "--rho", "1.755", "--target", "14"])
+    assert (cert.delta, cert.fp_slack) == (0.0005, DEFAULT_FP_SLACK)
+    graph = parser.parse_args(["graph", "packing.json"])
+    assert graph.tolerance == DEFAULT_TOLERANCE

@@ -314,7 +314,7 @@ class TestSweep:
             return search(geoms, cfg, starts)
 
         if workers == 1:
-            # the pool pickles what it maps, so only the in-process path records
+            # pool workers would record in their own copies of the list
             monkeypatch.setattr(density_module, "_search", recording)
         results = sweep_rho(1.74, 1.77, 0.005, cfg, workers=workers)
         assert len(results) == 7
@@ -332,6 +332,9 @@ class TestSweep:
         assert by_rho[1.55].pruned
         assert not by_rho[1.60].pruned
         assert by_rho[1.50].objective >= 14.0
+        for r in results:
+            if r.pruned:
+                assert r.objective == pruning_objective(r.rho)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_prune_threshold_rejected(self, threshold):
@@ -366,6 +369,24 @@ class TestSweep:
         assert len(density_module._rho_grid(1.7, 1.8, 0.05)) == 3
         with pytest.raises(DomainError, match="ratios"):
             density_module._rho_grid(1.7, 1.8, 0.025)
+
+    @pytest.mark.parametrize("grid_step", [5e-324, 1e-6])
+    def test_oversized_start_grid_rejected_before_building(self, grid_step):
+        # 5e-324 makes width / step infinite; 1e-6 gives ~9.4e16 start triples
+        cfg = SearchConfig(grid_step=grid_step)
+        with pytest.raises(DomainError, match="start points"):
+            max_density(rho_geometry(1.75), cfg)
+        with pytest.raises(DomainError, match="start points"):
+            sweep_rho(1.75, 1.76, 0.01, cfg, workers=2)
+
+    def test_start_limit_is_inclusive(self, monkeypatch):
+        geom = rho_geometry(1.755)
+        starts = len(_wedge_grid(geom, 0.1))
+        monkeypatch.setattr(density_module, "MAX_STARTS", starts)
+        assert density_module._wedge_size(geom, 0.1) == starts
+        monkeypatch.setattr(density_module, "MAX_STARTS", starts - 1)
+        with pytest.raises(DomainError, match="start points"):
+            _wedge_grid(geom, 0.1)
 
 
 class TestPruning:

@@ -14,6 +14,7 @@ from kissbound import (
     profile_integral,
     sphere_area,
 )
+from kissbound.highdim import _sin_power_integral
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,8 +46,9 @@ class TestProfileIntegral:
     def test_refinement_stability(self, d):
         # halving the panel width must not move the value
         for u in (0.1, 0.25, 1.0):
-            coarse = profile_integral(d, u, panels=12)
-            fine = profile_integral(d, u, panels=24)
+            theta_max = math.asin(math.sqrt(u))
+            coarse = _sin_power_integral(d, theta_max, 12)
+            fine = _sin_power_integral(d, theta_max, 24)
             assert abs(fine - coarse) <= 1e-11 * abs(fine)
 
     def test_domain(self):
