@@ -5,133 +5,22 @@ contact graphs of (not necessarily congruent) ball packings in R^d.  This
 package computes the area-argument bounds in general dimension and the
 sharper certified bound k_3 < 13.955 obtained by bounding cap-packing
 densities on inflated measuring spheres.
+
+The public names are those of each module's __all__, re-exported here.
 """
 
-from .caps import (
-    RhoGeometry,
-    TriangleAngles,
-    aux_cap_radius,
-    cap_area_K,
-    cap_height,
-    cap_radius_cos,
-    coverage_fraction,
-    pair_sum,
-    pair_sum_value,
-    rho_geometry,
-    triangle_angles,
-)
-from .certifier import (
-    Box,
-    Certificate,
-    box_angle_upper,
-    box_density_upper,
-    certify,
-    emit_certificate,
-    objective_factor,
-    parse_certificate,
-)
-from .density import (
-    SearchConfig,
-    SweepResult,
-    TriangleDensity,
-    density,
-    max_density,
-    pruning_interval,
-    pruning_objective,
-    sweep_rho,
-    sweep_to_csv,
-)
-from .errors import (
-    CertificateError,
-    DegenerateTriangleError,
-    DomainError,
-    KissboundError,
-    OverlapError,
-    PackingError,
-    PackingParseError,
-)
-from .highdim import (
-    DimBoundResult,
-    a_of_d,
-    cap_area_d,
-    f_d,
-    g_profile,
-    k_bound_highdim,
-    profile_integral,
-    sphere_area,
-)
-from .packings import (
-    Ball,
-    ContactGraph,
-    CoverageAudit,
-    Packing,
-    contact_graph,
-    coverage_audit,
-    fcc_fragment,
-    load_packing,
-    packing_from_balls,
-)
+from . import caps, certifier, density, errors, highdim, packings
+
+# bound before the star imports, which rebind `density` to the function
+_MODULES = (caps, highdim, density, certifier, packings, errors)
+
+from .caps import *  # noqa: E402, F403
+from .certifier import *  # noqa: E402, F403
+from .density import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .highdim import *  # noqa: E402, F403
+from .packings import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # caps
-    "RhoGeometry",
-    "TriangleAngles",
-    "rho_geometry",
-    "cap_radius_cos",
-    "cap_height",
-    "coverage_fraction",
-    "pair_sum",
-    "pair_sum_value",
-    "aux_cap_radius",
-    "cap_area_K",
-    "triangle_angles",
-    # highdim
-    "DimBoundResult",
-    "profile_integral",
-    "cap_area_d",
-    "sphere_area",
-    "g_profile",
-    "f_d",
-    "a_of_d",
-    "k_bound_highdim",
-    # density
-    "SearchConfig",
-    "TriangleDensity",
-    "SweepResult",
-    "density",
-    "max_density",
-    "sweep_rho",
-    "pruning_objective",
-    "pruning_interval",
-    "sweep_to_csv",
-    # certifier
-    "Box",
-    "Certificate",
-    "box_angle_upper",
-    "box_density_upper",
-    "certify",
-    "emit_certificate",
-    "parse_certificate",
-    "objective_factor",
-    # packings
-    "Ball",
-    "Packing",
-    "ContactGraph",
-    "CoverageAudit",
-    "load_packing",
-    "packing_from_balls",
-    "contact_graph",
-    "fcc_fragment",
-    "coverage_audit",
-    # errors
-    "KissboundError",
-    "DomainError",
-    "DegenerateTriangleError",
-    "PackingError",
-    "PackingParseError",
-    "OverlapError",
-    "CertificateError",
-]
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

@@ -85,7 +85,13 @@ def rho_geometry(rho: float) -> RhoGeometry:
     check_rho(rho)
     alpha_max = math.acos(1.0 / rho)
     alpha_min = math.acos((3.0 - rho) / (1.0 + rho)) - alpha_max
-    alpha_zero = math.acos((3.0 * rho * rho + 1.0) / (rho * (rho * rho + 3.0)))
+    # within a few ulps of 1 this argument rounds above 1
+    zero_cos = (3.0 * rho * rho + 1.0) / (rho * (rho * rho + 3.0))
+    if not zero_cos <= 1.0:
+        raise DomainError(
+            f"inflation ratio {rho!r} is too close to 1: cos(alpha_zero) rounds above 1"
+        )
+    alpha_zero = math.acos(zero_cos)
     return RhoGeometry(rho, alpha_min, alpha_zero, alpha_max)
 
 
@@ -209,11 +215,16 @@ def cap_area_K(geom: RhoGeometry, alpha: float) -> float:
     K is continuous and non-decreasing on [alpha_min, alpha_max], with
     K(alpha_min) = 0.
     """
+    check_cap_radius(geom, alpha)
+    return float(_kernels.K_vec(geom, alpha))
+
+
+def check_cap_radius(geom: RhoGeometry, alpha: float) -> None:
+    """Raise DomainError unless alpha lies in [alpha_min, alpha_max], within ACOS_GUARD."""
     if not (geom.alpha_min - ACOS_GUARD <= alpha <= geom.alpha_max + ACOS_GUARD):
         raise DomainError(
             f"cap radius {alpha!r} outside [{geom.alpha_min!r}, {geom.alpha_max!r}]"
         )
-    return float(_kernels.K_vec(geom, alpha))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -77,7 +78,12 @@ _AXES = ("x", "y", "z")
 def objective_factor(rho: float) -> float:
     """Conversion from max density to the average-degree objective."""
     check_rho(rho)
-    return 8.0 * rho / (-rho * rho + 4.0 * rho - 3.0)
+    denominator = -rho * rho + 4.0 * rho - 3.0
+    if not denominator > 0.0:
+        raise DomainError(
+            f"inflation ratio {rho!r} is too close to 1 or 3: -rho^2 + 4 rho - 3 rounds to 0"
+        )
+    return 8.0 * rho / denominator
 
 
 @dataclass(frozen=True)
@@ -148,16 +154,8 @@ class Certificate:
     passed: bool
 
 
-_CERT_FIELDS = (
-    ("rho", float),
-    ("delta", float),
-    ("target", float),
-    ("boxes_checked", int),
-    ("max_box_bound", float),
-    ("certified_bound", float),
-    ("fp_slack", float),
-    ("passed", bool),
-)
+# (name, type) of each field, in the order certificates list them
+_CERT_FIELDS = tuple(get_type_hints(Certificate).items())
 
 
 def emit_certificate(cert: Certificate) -> str:
@@ -427,6 +425,7 @@ def certify(
         raise DomainError(f"target must be positive and finite, got {target!r}")
     if not 0.0 <= fp_slack < math.inf:
         raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
+    factor = objective_factor(rho)
     workers = resolve_workers(workers)
     geom = rho_geometry(rho)
     scan = _GridScan(geom, delta)
@@ -457,7 +456,6 @@ def certify(
             f"scan covered {boxes_done} boxes, expected {total}; "
             "stale checkpoint?"
         )
-    factor = objective_factor(rho)
     certified = max_so_far * factor * (1.0 + fp_slack)
     cert = Certificate(
         rho=rho,

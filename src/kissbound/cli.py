@@ -210,7 +210,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     try:
         with open(args.input, encoding="utf-8") as fh:
             document = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
     packing = load_packing(document, tolerance=args.tolerance)

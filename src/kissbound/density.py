@@ -37,7 +37,7 @@ import numpy as np
 
 from ._kernels import density_vec
 from ._parallel import ordered_map, resolve_workers
-from .caps import RhoGeometry, TriangleAngles, rho_geometry, triangle_angles
+from .caps import RhoGeometry, TriangleAngles, check_cap_radius, rho_geometry, triangle_angles
 from .certifier import objective_factor
 from .errors import DegenerateTriangleError, DomainError, KissboundError
 
@@ -118,10 +118,7 @@ def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
     follow the argument order.
     """
     for value in (x, y, z):
-        if not (geom.alpha_min - 1e-12 <= value <= geom.alpha_max + 1e-12):
-            raise DomainError(
-                f"cap radius {value!r} outside [{geom.alpha_min!r}, {geom.alpha_max!r}]"
-            )
+        check_cap_radius(geom, value)
     order = sorted(range(3), key=(x, y, z).__getitem__)
     sx, sy, sz = ((x, y, z)[i] for i in order)
     canonical = triangle_angles(sx, sy, sz)

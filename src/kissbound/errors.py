@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "KissboundError",
+    "DomainError",
+    "DegenerateTriangleError",
+    "PackingError",
+    "PackingParseError",
+    "OverlapError",
+    "CertificateError",
+]
+
 
 class KissboundError(Exception):
     """Base class for all errors raised by this package."""

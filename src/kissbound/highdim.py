@@ -166,4 +166,6 @@ class DimBoundResult:
 def k_bound_highdim(d: int, rho: float) -> DimBoundResult:
     """Average-degree bound 2 / f_d(rho) in dimension d."""
     minimum = f_d(d, rho)
+    if not minimum > 0.0:
+        raise DomainError(f"f_{d}({rho!r}) rounds to 0, so the bound 2 / f_{d} is infinite")
     return DimBoundResult(d=d, rho=rho, f_d=minimum, bound=2.0 / minimum)

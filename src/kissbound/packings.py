@@ -155,6 +155,8 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
             f"invalid packing document at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise PackingParseError("packing document nests too deeply") from exc
     if not isinstance(data, dict) or "balls" not in data:
         raise PackingParseError("packing document must be an object with a 'balls' list")
     raw_balls = data["balls"]

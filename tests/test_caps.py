@@ -52,6 +52,18 @@ class TestRhoGeometry:
         with pytest.raises(DomainError):
             rho_geometry(rho)
 
+    def test_ratios_within_ulps_of_one_raise_domain_error(self):
+        # cos(alpha_zero) rounds above 1 for a quarter of these ratios
+        with pytest.raises(DomainError, match="too close to 1"):
+            rho_geometry(1.0000000000000002)
+        rejected = 0
+        for k in range(1, 20_000):
+            try:
+                rho_geometry(1.0 + k * 2.0**-52)
+            except DomainError:
+                rejected += 1
+        assert rejected == 5_000
+
 
 class TestCapRadiusCos:
     def test_equal_unit_balls_at_sqrt3(self):

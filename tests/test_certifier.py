@@ -433,6 +433,21 @@ class TestCertify:
         with pytest.raises(DomainError, match=field):
             certify(**kwargs)
 
+    def test_ratio_near_three_rejected_before_the_scan(self):
+        # -rho^2 + 4 rho - 3 rounds to 0 there
+        with pytest.raises(DomainError, match="too close"):
+            objective_factor(2.9999999999999996)
+        progress = []
+        with pytest.raises(DomainError, match="too close"):
+            certify(2.9999999999999996, 0.01, 14.5, on_progress=lambda *a: progress.append(a))
+        assert progress == []
+
+    def test_sharper_bound_at_quarter_grid_step(self):
+        # delta 0.00025 certifies k3 < 13.932, below the paper's 13.955
+        cert = certify(RHO, 0.00025, 13.94, workers=2)
+        assert cert.passed
+        assert cert.certified_bound == 13.931528541483372
+
     def test_invalid_thread_variable(self, monkeypatch):
         for text in ("abc", "0", "-2"):
             monkeypatch.setenv("KISSBOUND_THREADS", text)

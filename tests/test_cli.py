@@ -48,6 +48,14 @@ class TestHighdim:
         bound = float(out.strip().split("\n")[1].split(",")[3])
         assert bound > 34.681
 
+    @pytest.mark.parametrize("d, rho", [("64", "1.0000000000000002"), ("3", "2.9999999999999996")])
+    def test_vanishing_f_d_exit_four(self, capsys, d, rho):
+        code, out, err = run(capsys, "highdim", "--d", d, "--rho", rho)
+        assert code == 4
+        assert out == ""
+        assert "rounds to 0" in err
+        assert "Traceback" not in err
+
     def test_ignores_invalid_thread_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("KISSBOUND_THREADS", "abc")
         code, out, _ = run(capsys, "highdim", "--d", "4")
@@ -221,6 +229,21 @@ class TestOptimize:
         assert "start points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rho", ["1.0000000000000002", "2.9999999999999996"])
+    def test_degenerate_ratio_exit_four(self, capsys, rho):
+        code, out, err = run(
+            capsys,
+            "optimize",
+            "--rho-lo", rho,
+            "--rho-hi", rho,
+            "--step", "0.01",
+            "--workers", "1",
+        )
+        assert code == 4
+        assert out == ""
+        assert "too close" in err
+        assert "Traceback" not in err
+
     def test_invalid_interval_usage_error(self, capsys):
         code, _, err = run(capsys, "optimize", "--rho-lo", "1.8", "--rho-hi", "1.7", "--step", "0.01")
         assert code == 2
@@ -359,6 +382,24 @@ class TestCertify:
         assert not (tmp_path / "c.txt.meta.json").exists()
 
 
+    @pytest.mark.parametrize("rho", ["1.0000000000000002", "2.9999999999999996"])
+    def test_degenerate_ratio_exit_four(self, capsys, tmp_path, rho):
+        out_path = tmp_path / "c.txt"
+        code, out, err = run(
+            capsys,
+            "certify",
+            "--rho", rho,
+            "--target", "14.5",
+            "--workers", "1",
+            "--output", str(out_path),
+        )
+        assert code == 4
+        assert out == ""
+        assert "too close" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+        assert not (tmp_path / "c.txt.meta.json").exists()
+
     @pytest.mark.parametrize("content", ["garbage", "[1,2]"])
     def test_corrupt_checkpoint_exit_four(self, capsys, tmp_path, content):
         checkpoint = tmp_path / "scan.ckpt"
@@ -485,6 +526,20 @@ class TestGraph:
         code, _, err = run(capsys, "graph", data_path("malformed.json"))
         assert code == 3
         assert "line" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xff\xfe{"balls": []}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_document_exit_three(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, "graph", "/nonexistent/path.json")

@@ -190,6 +190,13 @@ class TestKBoundHighdim:
     def test_suboptimal_rho_is_larger(self):
         assert k_bound_highdim(4, 2.0).bound > a_of_d(4)
 
+    @pytest.mark.parametrize("d, rho", [(64, 1.0 + 2.0**-34), (64, 1.0000000000000002),
+                                        (3, 2.9999999999999996)])
+    def test_vanishing_f_d_raises_domain_error(self, d, rho):
+        assert f_d(d, rho) == 0.0
+        with pytest.raises(DomainError, match="rounds to 0"):
+            k_bound_highdim(d, rho)
+
     def test_result_invariants(self):
         result = k_bound_highdim(5, 1.8)
         assert 0.0 < result.f_d < 1.0

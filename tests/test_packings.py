@@ -249,6 +249,11 @@ class TestLoadPacking:
         with pytest.raises(PackingParseError):
             load_packing(payload)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # json.loads raises RecursionError on such a document
+        with pytest.raises(PackingParseError, match="nests too deeply"):
+            load_packing('{"balls": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
     def test_tolerance_allows_near_tangency(self):
         doc = '{"balls": [{"center": [0, 0, 0], "radius": 1}, {"center": [1.9999999999, 0, 0], "radius": 1}]}'
         packing = load_packing(doc)
