@@ -92,6 +92,9 @@ def rho_geometry(rho: float) -> RhoGeometry:
             f"inflation ratio {rho!r} is too close to 1: cos(alpha_zero) rounds above 1"
         )
     alpha_zero = math.acos(zero_cos)
+    # a few ulps above 1 the two arccos terms can also round to the same value
+    if not alpha_min > 0.0:
+        raise DomainError(f"inflation ratio {rho!r} is too close to 1: alpha_min rounds to 0")
     return RhoGeometry(rho, alpha_min, alpha_zero, alpha_max)
 
 

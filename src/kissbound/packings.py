@@ -8,9 +8,11 @@ with finite decimal numbers.  Tangency and overlap are decided with a
 relative tolerance (default 1e-9) because exact tangency is not
 representable for irrational configurations; the tolerance used is
 recorded in every report.  The contact edges are found once, while the
-packing is validated: one sweep-and-prune pair search measures every
-candidate pair for the overlap check and keeps the tangent ones, and the
-contact graph and the coverage audit read them from the Packing.
+packing is validated: one pair search on a multilevel cell grid, binned
+by radius class, measures every candidate pair for the overlap check and
+keeps the tangent ones, and the contact graph and the coverage audit read
+them from the Packing.  A space-filling packing gives about 30 candidates
+per ball; radii spread over L powers of two cost O(n L).
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -22,6 +24,7 @@ density.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -48,8 +51,12 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-9
 # how far a ball's coverage sum may exceed the audit's max density reference
 DENSITY_MARGIN = 1e-6
-# candidate pairs per distance batch, which bounds the sweep's temporaries
+# candidate pairs per distance batch, which bounds the pair search's temporaries
 MAX_PAIR_BATCH = 8_192
+# most grid cells along an axis, so that a cell key fits in an int64
+MAX_CELLS = 2**20
+# relative padding of a grid cell side against rounding (see _close_pairs)
+_CELL_PAD = 8.0 * np.finfo(np.float64).eps * MAX_CELLS
 # largest coordinate or radius magnitude: squared distances of such balls
 # stay far below the float64 overflow threshold; radii below its reciprocal
 # are rejected, because squared distances of such balls underflow
@@ -131,7 +138,7 @@ def packing_from_balls(
     for i, j, dist in _close_pairs(centers, radii, tolerance):
         radius_sum = radii[i] + radii[j]
         bad = dist < radius_sum * (1.0 - tolerance)
-        # sweep order is not index order: keep each batch's lexicographic first
+        # search order is not index order: keep each batch's lexicographic first
         overlaps += sorted(zip(i[bad].tolist(), j[bad].tolist(), dist[bad].tolist()))[:1]
         hit = _tangent_mask(dist, radius_sum, tolerance)
         hits.append(np.stack((i[hit], j[hit])))
@@ -192,31 +199,64 @@ def _tangent_mask(dist: np.ndarray, radius_sum: np.ndarray, tol: float) -> np.nd
 
 
 def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
-    """Yield batches (i, j, dist), i < j, of the pairs whose extents
-    x +- r (1 + tol) meet on the axis where the centers spread most.
+    """Yield batches (i, j, dist), i < j, of the pairs whose cells are
+    neighbours on a multilevel grid (Ogarko and Luding, Comput. Phys.
+    Commun. 183, 2012).
+
+    Each ball gets the class floor(log2(reach)) of its padded reach
+    r (1 + tol)(1 + 8 eps).  Class b has a grid whose cell side is at least
+    twice its largest reach m_b, and every ball of class <= b looks up the
+    class-b balls in the 27 cells around its own; within class b only
+    i < j is kept, so each pair is measured once.  A space-filling packing
+    gives about 30 candidates per ball, but a packing whose radii span L
+    classes costs O(n L): a ball is looked up on every grid from its own
+    class upwards.
 
     Both the tangency and the overlap test imply, after rounding,
-    |dx| <= (ri + rj)(1 + tol)(1 + 3 eps); the padded reach exceeds that
-    and rounding x +- reach is monotone, so no accepted pair is missed.
+    |dx| <= (ri + rj)(1 + tol)(1 + 3 eps) <= reach_i + reach_j <= 2 m_b on
+    each axis, where b is the larger class of the two.  The cell side is
+    at least extent / MAX_CELLS, so the quotient q = (x - low) / side is at
+    most MAX_CELLS and its two roundings (subtraction, division) move it by
+    at most 2 (eps / 2) q <= eps MAX_CELLS to first order in eps; the
+    quotients of an accepted pair therefore differ by at most
+    2 m_b / side + 2 eps MAX_CELLS.  The cell side 2 m_b (1 + _CELL_PAD),
+    with _CELL_PAD = 8 eps MAX_CELLS, makes that at most 1 - 3 eps
+    MAX_CELLS even after the side itself is rounded, a margin far above the
+    second-order terms, so the floors of the two quotients, their cells,
+    are at most one apart on each axis and no accepted pair is missed.
     """
-    count = len(radii)
-    if count < 2:
+    if len(radii) < 2:
         return
-    axis = int(np.argmax(np.ptp(centers, axis=0)))
     reach = radii * ((1.0 + tol) * (1.0 + 8.0 * np.finfo(np.float64).eps))
-    lo = centers[:, axis] - reach
-    hi = centers[:, axis] + reach
-    order = np.argsort(lo, kind="stable")
-    # the k-th ball in sweep order meets the later balls k + 1 .. stop - 1
-    stop = np.searchsorted(lo[order], hi[order], side="right")
-    offsets = np.concatenate(([0], np.cumsum(stop - np.arange(1, count + 1))))
-    total = int(offsets[-1])
-    for start in range(0, total, MAX_PAIR_BATCH):
-        flat = np.arange(start, min(start + MAX_PAIR_BATCH, total))
-        k = np.searchsorted(offsets, flat, side="right") - 1
-        a, b = order[k], order[flat - offsets[k] + k + 1]
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        yield i, j, np.sqrt(np.sum((centers[j] - centers[i]) ** 2, axis=1))
+    level = np.frexp(reach)[1] - 1
+    low = centers.min(axis=0)
+    min_side = float(np.ptp(centers, axis=0).max()) / MAX_CELLS
+    # not np.unique, which imports numpy.ma (1.2 MB of resident memory)
+    for b in sorted(set(level.tolist())):
+        queries = np.flatnonzero(level <= b)
+        same = level[queries] == b
+        side = max(2.0 * float(reach[queries[same]].max()) * (1.0 + _CELL_PAD), min_side)
+        # cells from 1, so the neighbours of every cell stay inside 0 .. span - 1
+        cell = np.floor((centers[queries] - low) / side).astype(np.int64) + 1
+        span = int(cell.max()) + 2
+        key = (cell[:, 0] * span + cell[:, 1]) * span + cell[:, 2]
+        order = np.argsort(key, kind="stable")
+        queries, same, key = queries[order], same[order], key[order]
+        grid, grid_key = queries[same], key[same]
+        # the three cells z - 1 .. z + 1 of one (x, y) column are consecutive keys
+        for dx, dy in itertools.product((-1, 0, 1), repeat=2):
+            column = key + (dx * span + dy) * span
+            first = np.searchsorted(grid_key, column - 1, side="left")
+            stop = np.searchsorted(grid_key, column + 1, side="right")
+            offsets = np.concatenate(([0], np.cumsum(stop - first)))
+            total = int(offsets[-1])
+            for start in range(0, total, MAX_PAIR_BATCH):
+                flat = np.arange(start, min(start + MAX_PAIR_BATCH, total))
+                k = np.searchsorted(offsets, flat, side="right") - 1
+                a, c = queries[k], grid[first[k] + flat - offsets[k]]
+                keep = ~same[k] | (a < c)
+                i, j = np.minimum(a[keep], c[keep]), np.maximum(a[keep], c[keep])
+                yield i, j, np.sqrt(np.sum((centers[j] - centers[i]) ** 2, axis=1))
 
 
 def contact_graph(packing: Packing) -> ContactGraph:

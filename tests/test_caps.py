@@ -53,16 +53,21 @@ class TestRhoGeometry:
             rho_geometry(rho)
 
     def test_ratios_within_ulps_of_one_raise_domain_error(self):
-        # cos(alpha_zero) rounds above 1 for a quarter of these ratios
+        # cos(alpha_zero) rounds above 1 for a quarter of these ratios, and
+        # alpha_min rounds to 0 for another half
         with pytest.raises(DomainError, match="too close to 1"):
             rho_geometry(1.0000000000000002)
+        with pytest.raises(DomainError, match="alpha_min rounds to 0"):
+            rho_geometry(1.0000000000000004)
         rejected = 0
         for k in range(1, 20_000):
             try:
-                rho_geometry(1.0 + k * 2.0**-52)
+                g = rho_geometry(1.0 + k * 2.0**-52)
             except DomainError:
                 rejected += 1
-        assert rejected == 5_000
+            else:
+                assert 0.0 < g.alpha_min <= g.alpha_zero <= g.alpha_max
+        assert rejected == 14_999
 
 
 class TestCapRadiusCos:

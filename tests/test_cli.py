@@ -229,7 +229,9 @@ class TestOptimize:
         assert "start points" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("rho", ["1.0000000000000002", "2.9999999999999996"])
+    @pytest.mark.parametrize(
+        "rho", ["1.0000000000000002", "1.0000000000000004", "2.9999999999999996"]
+    )
     def test_degenerate_ratio_exit_four(self, capsys, rho):
         code, out, err = run(
             capsys,
@@ -382,7 +384,9 @@ class TestCertify:
         assert not (tmp_path / "c.txt.meta.json").exists()
 
 
-    @pytest.mark.parametrize("rho", ["1.0000000000000002", "2.9999999999999996"])
+    @pytest.mark.parametrize(
+        "rho", ["1.0000000000000002", "1.0000000000000004", "2.9999999999999996"]
+    )
     def test_degenerate_ratio_exit_four(self, capsys, tmp_path, rho):
         out_path = tmp_path / "c.txt"
         code, out, err = run(

@@ -82,6 +82,36 @@ def multiscale_packing(rng, count=300):
     )
 
 
+def spread_packing(rng, scale, count=120):
+    """Two tangent balls of radius `scale` and balls of radii 1e-7 .. 1e-2
+    times `scale`: every third one wedged in the crevice between the two
+    (tangent to both, the Soddy-like regime), the others tangent to an
+    earlier ball in a random direction; each is kept only if it overlaps
+    none.  A power-of-two `scale` rescales every distance exactly."""
+    centers = [np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])]
+    radii = [1.0, 1.0]
+    while len(radii) < count:
+        r = float(10.0 ** rng.uniform(-7.0, -2.0))
+        direction = rng.normal(size=3)
+        if len(radii) % 3 == 0:
+            direction[0] = 0.0
+            center = math.sqrt(r * (2.0 + r)) * direction / np.linalg.norm(direction)
+            parents = [0, 1]
+        else:
+            parent = int(rng.integers(len(radii)))
+            direction /= np.linalg.norm(direction)
+            center = centers[parent] + (radii[parent] + r) * direction
+            parents = [parent]
+        gaps = np.linalg.norm(np.array(centers) - center, axis=1) - (np.array(radii) + r)
+        gaps[parents] = np.inf
+        if np.all(gaps > 1e-6 * (np.array(radii) + r)):
+            centers.append(center)
+            radii.append(r)
+    return [
+        Ball(tuple(scale * float(v) for v in c), scale * r) for c, r in zip(centers, radii)
+    ]
+
+
 def fcc_with_holes(rng, shells=3):
     """fcc_fragment(shells) plus a ball in each octahedral hole (radius
     sqrt(2) - 1, tangent to six unit balls) and each tetrahedral hole
@@ -157,6 +187,22 @@ class TestLoadPacking:
             packing_from_balls(balls)
         assert info.value.pair == (0, 3)
         assert info.value.penetration == pytest.approx(0.75, abs=1e-15)
+
+    def test_overlap_between_radius_classes_reports_first_pair(self, monkeypatch):
+        # (0, 3), a radius-4 ball and a radius-1/4 one, is measured on the
+        # grid of the larger class; (1, 2) and (1, 4) on the unit balls' grid
+        monkeypatch.setattr(packings, "MAX_PAIR_BATCH", 1)
+        balls = [
+            Ball((10.0, 0.0, 0.0), 4.0),
+            Ball((0.0, 0.0, 0.0), 1.0),
+            Ball((1.5, 0.0, 0.0), 1.0),
+            Ball((14.0, 0.0, 0.0), 0.25),
+            Ball((0.0, 1.0, 0.0), 1.0),
+        ]
+        with pytest.raises(OverlapError) as info:
+            packing_from_balls(balls)
+        assert info.value.pair == (0, 3)
+        assert info.value.penetration == 0.25
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
     def test_invalid_tolerance_rejected(self, tolerance):
@@ -314,6 +360,63 @@ class TestContactGraph:
         edges = contact_graph(packing).edges
         assert edges == brute_force_edges(packing)
         assert edges == tuple((2 * k, 2 * k + 1) for k in range(200))
+
+    @pytest.mark.parametrize(
+        "batch",
+        [1, 7, packings.MAX_PAIR_BATCH],
+        ids=["one_pair_batches", "small_batches", "module_batches"],
+    )
+    # a cell index past the int64 range casts with an "invalid value" warning
+    @pytest.mark.filterwarnings("error")
+    def test_radius_spread_matches_all_pairs(self, rng, monkeypatch, batch):
+        monkeypatch.setattr(packings, "MAX_PAIR_BATCH", batch)
+        big = 2.0**496  # 2.0e149, near MAX_MAGNITUDE
+        tiny = 2.0**-475  # smallest radii above 1.02e-150, near 1 / MAX_MAGNITUDE
+        # a tangent pair near MAX_MAGNITUDE and a lone tiny ball far from the
+        # cluster of tiny balls: the extent, not the reach, sets the tiny
+        # classes' cell side
+        far = [
+            Ball((2.0 * big, 0.0, 0.0), big),
+            Ball((4.0 * big, 0.0, 0.0), big),
+            Ball((0.0, big, 0.0), tiny),
+        ]
+        cases = [
+            packing_from_balls(spread_packing(rng, 1.0)),
+            packing_from_balls(spread_packing(rng, big)),
+            packing_from_balls(spread_packing(rng, tiny)),
+            packing_from_balls(spread_packing(rng, tiny) + far),
+        ]
+        for packing in cases:
+            centers = np.array([b.center for b in packing.balls])
+            radii = np.array([b.radius for b in packing.balls])
+            assert radii.max() / radii.min() >= 1e6
+            pairs = []
+            for i, j, _ in packings._close_pairs(centers, radii, packing.tolerance):
+                assert len(i) <= batch
+                pairs += zip(i.tolist(), j.tolist())
+            assert all(i < j for i, j in pairs)
+            assert len(set(pairs)) == len(pairs)
+            edges = contact_graph(packing).edges
+            assert edges == brute_force_edges(packing)
+            assert len(edges) >= len(packing) // 2
+        assert (120, 121) in cases[-1].edges  # the pair near MAX_MAGNITUDE
+
+    def test_candidates_per_ball_on_space_filling_packing(self, monkeypatch):
+        # the grid measures each unit ball against the other balls in the 27
+        # cells of side 2 around it, about 1.4 balls per cell, each pair once;
+        # a one-axis sweep measures 149 pairs per ball here
+        yielded = []
+        close_pairs = packings._close_pairs
+
+        def counted(*args):
+            for batch in close_pairs(*args):
+                yielded.append(len(batch[0]))
+                yield batch
+
+        monkeypatch.setattr(packings, "_close_pairs", counted)
+        packing = fcc_fragment(40)
+        assert len(packing) == 1_505
+        assert sum(yielded) <= 20 * len(packing)
 
     def test_one_pair_search_per_packing(self, monkeypatch):
         calls = []
