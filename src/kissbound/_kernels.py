@@ -1,15 +1,17 @@
 """Vectorized numpy kernels: the single implementation of the cap geometry.
 
-Every path evaluates the spherical law of cosines, the vertex arccos, the
-angular excess, the cap area K, the 2x + y + z vs pi corner rule, the
-lower-corner area and the final quotient here: the grid scan, the `Box`
-API, the density search (`density.max_density`, through `density_vec`)
-and the scalar API (`caps.triangle_angles`, `caps.cap_area_K`,
-`density.density`), which adds its domain checks on top.  The kernels see
-corners only through providers: `pair(u, v)` gives cos and sin of the
-side u + v, `coord(u)` the cap radius and `k_of(u)` the cap area K at u.
-The defaults compute all three from radii; the grid scan passes grid
-indices with table lookups, so both paths share every expression.
+Each stage of the density D and of its box bound is written once here:
+the law-of-cosines arguments, their arccos (checked in `angles_of_args`,
+conservative in `_angle_upper`), the angular excess, the cap area K, the
+2x + y + z vs pi corner rule and the quotient (`_density_quotient`).
+Every path runs on them: the grid scan, the `Box` API, the density search
+(through `density_vec`) and the scalar API (`caps.triangle_angles`,
+`caps.cap_area_K`, `density.density`), which adds its domain checks on
+top.  The kernels see corners only through providers: `pair(u, v)` gives
+cos and sin of the side u + v, `coord(u)` the cap radius and `k_of(u)` the
+cap area K at u.  The defaults compute all three from radii; the grid scan
+passes grid indices with table lookups, so both paths share every
+expression.
 
 Invalid spherical-triangle configurations are handled in the direction
 that keeps box bounds sound: angle upper bounds degrade to pi, area lower
@@ -111,6 +113,14 @@ def K_vec(geom: RhoGeometry, alpha):
     return np.where(alpha >= geom.alpha_zero, plain_area, cone_area)
 
 
+def _density_quotient(k, angles, area, fill):
+    """(K_x angle_x + K_y angle_y + K_z angle_z) / (2 pi area) from rows per
+    vertex, summed in vertex order; `fill` where the area is not positive."""
+    terms = k * angles
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(area > 0.0, (terms[0] + terms[1] + terms[2]) / (TWO_PI * area), fill)
+
+
 def density_vec(geom: RhoGeometry, x, y, z):
     """Cap-triangle density D(x, y, z); NaN where degenerate or invalid.
 
@@ -118,46 +128,51 @@ def density_vec(geom: RhoGeometry, x, y, z):
     one clip and arccos, one validity test, one K.
     """
     angles, valid = triangle_angles_vec(x, y, z)
-    area = excess_vec(angles, valid)
-    terms = K_vec(geom, np.array(np.broadcast_arrays(x, y, z))) * angles
-    num = terms[0] + terms[1] + terms[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(area > 0.0, num / (TWO_PI * area), np.nan)
+    k = K_vec(geom, np.array(np.broadcast_arrays(x, y, z)))
+    return _density_quotient(k, angles, excess_vec(angles, valid), np.nan)
+
+
+def _angle_upper(args):
+    """Angles of raw arccos arguments for upper bounds: an argument beyond
+    1 + ANGLE_GUARD gives the worst case pi, one below -1 clips to pi."""
+    angles = np.arccos(np.clip(args, -1.0, 1.0))
+    return np.where(args > 1.0 + ANGLE_GUARD, PI, angles)
 
 
 def angle_upper_at(x, y, z, pair=_trig_of_sum):
-    """Vertex angle at the cap of radius x, conservative for broken input.
-
-    Used only for angle upper bounds: any argument beyond the guard maps
-    to the worst case pi, arguments below -1 clip to pi as well.
-    """
+    """Vertex angle at the cap of radius x, for upper bounds (`_angle_upper`)."""
     cos_yz, _ = pair(y, z)
     cos_xz, sin_xz = pair(x, z)
     cos_xy, sin_xy = pair(x, y)
-    arg = _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy)
-    angle = np.arccos(np.clip(arg, -1.0, 1.0))
-    return np.where(arg > 1.0 + ANGLE_GUARD, PI, angle)
+    return _angle_upper(_angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy))
 
 
-def axis_angle_upper_vec(
-    lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2, pair=_trig_of_sum, coord=_radius
-):
-    """Upper bound on the vertex angle at the `own` axis over the box.
+def _doubled_sums(x, y, z):
+    # 2x + y + z, 2y + x + z, 2z + x + y as written: a regrouped sum such as
+    # (x + y + z) + x rounds differently and can flip a corner choice
+    return np.array([2.0 * x + y + z, 2.0 * y + x + z, 2.0 * z + x + y])
+
+
+def box_angles_upper_vec(a, b, c, ua, ub, uc, pair=_trig_of_sum, coord=_radius):
+    """Upper bounds on the vertex angles over boxes [a,ua] x [b,ub] x [c,uc],
+    stacked as one (3, ...) array, row v for vertex v.
 
     With 2x + y + z <= pi throughout the box the angle at x is decreasing
-    in x and increasing in y, z, so the maximum sits at (own low, others
+    in x and increasing in y, z, so the maximum sits at (x low, y and z
     high); with 2x + y + z >= pi throughout it sits at the all-high
     corner; otherwise both corners are evaluated and the larger is taken.
+    y and z follow with 2y + x + z and 2z + x + y.  The all-high corners
+    of the three vertices are the one triangle (ua, ub, uc).
     """
-    s_lo = 2.0 * coord(lo_own) + coord(lo_o1) + coord(lo_o2)
-    s_hi = 2.0 * coord(up_own) + coord(up_o1) + coord(up_o2)
-    low_corner = angle_upper_at(lo_own, up_o1, up_o2, pair)
-    high_corner = angle_upper_at(up_own, up_o1, up_o2, pair)
-    return np.where(
-        s_hi <= PI,
-        low_corner,
-        np.where(s_lo >= PI, high_corner, np.maximum(low_corner, high_corner)),
-    )
+    low_only = _doubled_sums(*map(coord, (ua, ub, uc))) <= PI
+    high_only = _doubled_sums(*map(coord, (a, b, c))) >= PI
+    low = np.array(np.broadcast_arrays(
+        angle_upper_at(a, ub, uc, pair),
+        angle_upper_at(b, ua, uc, pair),
+        angle_upper_at(c, ua, ub, pair),
+    ))
+    high = _angle_upper(triangle_args_vec(ua, ub, uc, pair))
+    return np.where(low_only, low, np.where(high_only, high, np.maximum(low, high)))
 
 
 def box_density_upper_vec(
@@ -166,17 +181,13 @@ def box_density_upper_vec(
     """Upper bound on D over boxes [a,ua] x [b,ub] x [c,uc], vectorized.
 
     Corner rules: minimum area at the lower corner, maximum K at the upper
-    edges, per-axis maximum vertex angle at one of two corners selected by
-    the position of 2x + y + z relative to pi.  Boxes whose lower-corner
-    area is not positive (or whose geometry is invalid) get +inf.
+    edges, the maximum vertex angles from `box_angles_upper_vec`.  Boxes
+    whose lower-corner area is not positive (or whose geometry is invalid)
+    get +inf.
     """
-    k_of = k_of or functools.partial(K_vec, geom)
+    angles = box_angles_upper_vec(a, b, c, ua, ub, uc, pair, coord)
     min_area = triangle_excess_vec(a, b, c, pair)
-
-    ang_x = axis_angle_upper_vec(a, b, c, ua, ub, uc, pair, coord)
-    ang_y = axis_angle_upper_vec(b, a, c, ub, ua, uc, pair, coord)
-    ang_z = axis_angle_upper_vec(c, a, b, uc, ua, ub, pair, coord)
-
-    num = k_of(ua) * ang_x + k_of(ub) * ang_y + k_of(uc) * ang_z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(min_area > 0.0, num / (TWO_PI * min_area), np.inf)
+    # K last, so its (3, ...) gathers are not held while the angles are built
+    k_of = k_of or functools.partial(K_vec, geom)
+    k = k_of(np.array(np.broadcast_arrays(ua, ub, uc)))
+    return _density_quotient(k, angles, min_area, np.inf)

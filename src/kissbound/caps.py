@@ -37,6 +37,7 @@ __all__ = [
     "coverage_fraction",
     "pair_sum",
     "pair_sum_value",
+    "objective_factor",
     "aux_cap_radius",
     "cap_area_K",
     "triangle_angles",
@@ -151,6 +152,17 @@ def pair_sum_value(rho: float) -> float:
     """
     check_rho(rho)
     return (-rho * rho + 4.0 * rho - 3.0) / (4.0 * rho)
+
+
+def objective_factor(rho: float) -> float:
+    """Max density to average degree: 8 rho / (-rho^2 + 4 rho - 3) = 2 / pair_sum_value."""
+    check_rho(rho)
+    denominator = -rho * rho + 4.0 * rho - 3.0
+    if not denominator > 0.0:
+        raise DomainError(
+            f"inflation ratio {rho!r} is too close to 1 or 3: -rho^2 + 4 rho - 3 rounds to 0"
+        )
+    return 8.0 * rho / denominator
 
 
 def pair_sum(rho: float, r1: float, r2: float) -> float:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import ordered_map, resolve_workers
-from .caps import RhoGeometry, check_rho, rho_geometry
+from .caps import RhoGeometry, objective_factor, rho_geometry
 from .errors import CertificateError, DomainError
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "certify",
     "emit_certificate",
     "parse_certificate",
-    "objective_factor",
 ]
 
 DEFAULT_FP_SLACK = 1e-9
@@ -73,17 +72,6 @@ MAX_BATCH = 32_768
 PRUNE_MARGIN = 1e-12
 
 _AXES = ("x", "y", "z")
-
-
-def objective_factor(rho: float) -> float:
-    """Conversion from max density to the average-degree objective."""
-    check_rho(rho)
-    denominator = -rho * rho + 4.0 * rho - 3.0
-    if not denominator > 0.0:
-        raise DomainError(
-            f"inflation ratio {rho!r} is too close to 1 or 3: -rho^2 + 4 rho - 3 rounds to 0"
-        )
-    return 8.0 * rho / denominator
 
 
 @dataclass(frozen=True)
@@ -119,19 +107,14 @@ def box_angle_upper(geom: RhoGeometry, box: Box, axis: str) -> float:
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
-    (a, b, c), (ua, ub, uc) = _box_edges(geom, box)
-    order = {
-        "x": (a, b, c, ua, ub, uc),
-        "y": (b, a, c, ub, ua, uc),
-        "z": (c, a, b, uc, ua, ub),
-    }[axis]
-    return float(_kernels.axis_angle_upper_vec(*map(np.float64, order)))
+    lows, ups = _box_edges(geom, box)
+    return float(_kernels.box_angles_upper_vec(*lows, *ups)[_AXES.index(axis)])
 
 
 def box_density_upper(geom: RhoGeometry, box: Box) -> float:
     """Upper bound for the density D over the box; +inf if unusable."""
-    (a, b, c), (ua, ub, uc) = _box_edges(geom, box)
-    return float(_kernels.box_density_upper_vec(geom, a, b, c, ua, ub, uc))
+    lows, ups = _box_edges(geom, box)
+    return float(_kernels.box_density_upper_vec(geom, *lows, *ups))
 
 
 @dataclass(frozen=True)

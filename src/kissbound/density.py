@@ -37,8 +37,9 @@ import numpy as np
 
 from ._kernels import density_vec
 from ._parallel import ordered_map, resolve_workers
-from .caps import RhoGeometry, TriangleAngles, check_cap_radius, rho_geometry, triangle_angles
-from .certifier import objective_factor
+from .caps import (
+    RhoGeometry, TriangleAngles, check_cap_radius, objective_factor, rho_geometry, triangle_angles,
+)
 from .errors import DegenerateTriangleError, DomainError, KissboundError
 
 __all__ = [

@@ -42,12 +42,11 @@ __all__ = [
 MIN_DIMENSION = 3
 MAX_DIMENSION = 64
 
-GL_POINTS = 16
-
 
 @lru_cache(maxsize=None)
-def _gl_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: numpy.polynomial is not loaded by `import numpy`
+    return np.polynomial.legendre.leggauss(16)
 
 
 def _check_dimension(d: int) -> None:
@@ -59,29 +58,25 @@ def _check_dimension(d: int) -> None:
         )
 
 
-def _default_panels(d: int) -> int:
-    # sin^(d-2) concentrates near pi/2 as d grows; a few extra panels keep
-    # the composite rule at machine precision through d = 64.
-    return 8 + d // 4
-
-
 def profile_integral(d: int, upper: float) -> float:
     """I_d(upper) = integral_0^upper t^((d-3)/2) (1-t)^(-1/2) dt.
 
     Evaluated after t = sin^2(theta) as integral of 2 sin^(d-2)(theta)
     over [0, arcsin(sqrt(upper))] with a composite Gauss-Legendre rule of
-    _default_panels(d) equal panels (16 points each).
+    8 + d // 4 equal panels (16 points each).
     """
     _check_dimension(d)
     if not (0.0 <= upper <= 1.0):
         raise DomainError(f"integration limit must lie in [0, 1], got {upper!r}")
     theta_max = math.asin(math.sqrt(upper))
-    return _sin_power_integral(d, theta_max, _default_panels(d))
+    return _sin_power_integral(d, theta_max)
 
 
-def _sin_power_integral(d: int, theta_max: float, panels: int) -> float:
-    nodes, weights = _gl_nodes(GL_POINTS)
-    edges = np.linspace(0.0, theta_max, panels + 1)
+def _sin_power_integral(d: int, theta_max: float) -> float:
+    nodes, weights = _gl_nodes()
+    # sin^(d-2) concentrates near pi/2 as d grows; a few extra panels keep
+    # the composite rule at machine precision through d = 64
+    edges = np.linspace(0.0, theta_max, 8 + d // 4 + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     theta = mid[:, None] + half[:, None] * nodes[None, :]
@@ -100,7 +95,7 @@ def cap_area_d(d: int, alpha: float) -> float:
         raise DomainError(f"cap radius must lie in [0, pi/2], got {alpha!r}")
     prefactor = math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
     theta_max = min(alpha, math.pi / 2.0)
-    return prefactor * _sin_power_integral(d, theta_max, _default_panels(d))
+    return prefactor * _sin_power_integral(d, theta_max)
 
 
 def sphere_area(d: int) -> float:

@@ -115,8 +115,9 @@ def packing_from_balls(
     Raises OverlapError naming the first offending pair (lexicographic)
     and its penetration depth.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DomainError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    # from 1 up no distance is an overlap and every pair within reach an edge
+    if not 0.0 <= tolerance < 1.0:
+        raise DomainError(f"tolerance must lie in [0, 1), got {tolerance!r}")
     balls = tuple(balls)
     centers = np.array([b.center for b in balls], dtype=np.float64)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
@@ -156,7 +157,9 @@ def packing_from_balls(
 def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing:
     """Parse and validate a packing document (JSON text)."""
     try:
-        data = json.loads(document)
+        # an integer beyond the double range parses as inf, as 1e400 does,
+        # not as an int that float() (or, past 4300 digits, json) rejects
+        data = json.loads(document, parse_int=float)
     except json.JSONDecodeError as exc:
         raise PackingParseError(
             f"invalid packing document at line {exc.lineno} column {exc.colno}: "
@@ -175,22 +178,16 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
             raise PackingParseError(f"ball {index} must be an object")
         center = item.get("center")
         radius = item.get("radius")
-        if (
-            not isinstance(center, list)
-            or len(center) != 3
-            or not all(type(v) in (int, float) for v in center)
-        ):
+        # every JSON number parses as a float; true and false are bools
+        if not isinstance(center, list) or [type(v) for v in center] != [float] * 3:
             raise PackingParseError(f"ball {index}: center must be [x, y, z]")
-        # type(), not isinstance: JSON true and false are bools, an int subclass
-        if type(radius) not in (int, float):
+        if type(radius) is not float:
             raise PackingParseError(f"ball {index}: radius must be a number")
-        center_t = tuple(float(v) for v in center)
-        radius_f = float(radius)
-        if not all(math.isfinite(v) for v in center_t) or not math.isfinite(radius_f):
+        if not all(math.isfinite(v) for v in (*center, radius)):
             raise PackingParseError(f"ball {index}: coordinates must be finite")
-        if radius_f <= 0.0:
+        if radius <= 0.0:
             raise PackingParseError(f"ball {index}: radius must be positive")
-        balls.append(Ball(center=center_t, radius=radius_f))
+        balls.append(Ball(center=tuple(center), radius=radius))
     return packing_from_balls(balls, tolerance)
 
 

@@ -247,6 +247,30 @@ def _exhaustive_max(scan):
     return best, best_idx
 
 
+def _certificate_text(delta, boxes, bound, certified, passed):
+    return (
+        f"rho: 1.7549999999999999\ndelta: {delta}\ntarget: 14.5\nboxes_checked: {boxes}\n"
+        f"max_box_bound: {bound}\ncertified_bound: {certified}\n"
+        f"fp_slack: 1.0000000000000001e-09\npassed: {passed}\n"
+    )
+
+
+# emitted at rho 1.755 and target 14.5 by the per-axis kernel that the
+# stacked one replaced: the exhaustive scan shares the kernel, so only
+# recorded bytes catch a change that moves every box's bits alike
+PINNED_CERTIFICATES = {
+    0.01: _certificate_text(
+        "0.01", 98770, "0.99667124923267103", "14.886847366387368", "false"
+    ),
+    0.004: _certificate_text(
+        "0.0040000000000000001", 1499784, "0.95620281807148078", "14.28238791366651", "true"
+    ),
+    0.002: _certificate_text(
+        "0.002", 11912160, "0.94353667441980638", "14.093199204341962", "true"
+    ),
+}
+
+
 class TestLevelScan:
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_children_bounded_by_parent(self, m):
@@ -275,6 +299,12 @@ class TestLevelScan:
         cert = certify(RHO, delta, 14.5, workers=workers)
         assert cert.max_box_bound.hex() == _exhaustive_max(scan)[0].hex()
         assert cert.boxes_checked == scan.total_boxes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("delta", sorted(PINNED_CERTIFICATES))
+    def test_certificate_bytes_pinned(self, delta, workers):
+        cert = certify(RHO, delta, 14.5, workers=workers)
+        assert emit_certificate(cert) == PINNED_CERTIFICATES[delta]
 
     def test_box_at_threshold_is_refined(self):
         # a parent whose bound equals the pruning threshold is bisected, so

@@ -470,15 +470,18 @@ class TestGraph:
         assert code == 3
         assert "overlap" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_exit_four(self, capsys, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "1", "1e308"])
+    def test_non_finite_tolerance_exit_four(self, capsys, recwarn, value):
+        # from 1 up every pair of fcc_n2.json's 19 balls read as an edge,
+        # with numpy overflow warnings at 1e308
         code, out, err = run(
             capsys, "graph", data_path("two_balls.json"), "--tolerance", value
         )
         assert code == 4
         assert out == ""
-        assert "tolerance" in err
+        assert "tolerance must lie in [0, 1)" in err
         assert "Traceback" not in err
+        assert not recwarn.list
 
     @pytest.mark.parametrize("spacing", [1e160, 2e160])
     def test_huge_magnitude_exit_four(self, capsys, tmp_path, spacing):
@@ -509,6 +512,20 @@ class TestGraph:
         assert code == 3
         assert out == ""
         assert "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "ball",
+        ['"center": [%s, 0, 0], "radius": 1', '"center": [0, 0, 0], "radius": %s'],
+        ids=["center", "radius"],
+    )
+    def test_integer_beyond_double_range_exit_three(self, capsys, tmp_path, ball):
+        path = tmp_path / "huge_int.json"
+        path.write_text('{"balls": [{%s}]}' % (ball % ("9" * 400)), encoding="utf-8")
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 3
+        assert out == ""
+        assert "ball 0: coordinates must be finite" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("radius", [1e-160, 1e-170])

@@ -204,10 +204,30 @@ class TestLoadPacking:
         assert info.value.pair == (0, 3)
         assert info.value.penetration == 0.25
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9, 1.0, 1e308])
     def test_invalid_tolerance_rejected(self, tolerance):
-        with pytest.raises(DomainError):
+        # from 1 up no pair is an overlap and every measured pair an edge
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
             load_packing(read("two_balls.json"), tolerance=tolerance)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    @pytest.mark.parametrize(
+        "ball",
+        ['"center": [%s, 0, 0], "radius": 1', '"center": [0, 0, 0], "radius": %s'],
+        ids=["center", "radius"],
+    )
+    def test_integer_beyond_double_range_rejected(self, digits, ball):
+        # float() of such an integer raised OverflowError, and json.loads a
+        # ValueError past 4300 digits; JSON 1e400 already read as inf
+        doc = '{"balls": [{%s}]}' % (ball % ("9" * digits))
+        with pytest.raises(PackingParseError, match="ball 0: coordinates must be finite"):
+            load_packing(doc)
+
+    def test_integers_read_as_their_floats(self):
+        doc = '{"balls": [{"center": [0, -3, 9007199254740993], "radius": 2}]}'
+        ball = load_packing(doc).balls[0]
+        assert ball.center == (0.0, -3.0, float(9007199254740993))
+        assert ball.radius == 2.0
 
     @pytest.mark.parametrize("spacing", [1.0, 2.0])
     def test_magnitude_beyond_limit_rejected(self, spacing):
