@@ -39,10 +39,9 @@ explicit.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -137,51 +136,67 @@ class Certificate:
     passed: bool
 
 
-# (name, type) of each field, in the order certificates list them
-_CERT_FIELDS = tuple(get_type_hints(Certificate).items())
+def _format(kind: type, value) -> str:
+    """The one text form of a record value: floats to 17 significant
+    digits (enough to round-trip), bools as true/false, ints in decimal."""
+    if kind is bool:
+        return "true" if value else "false"
+    return format(value, ".17g") if kind is float else str(value)
+
+
+_READERS = {float: float, int: int, bool: lambda raw: raw == "true"}
+
+
+def _emit(record) -> str:
+    """One `name: value` line per field of a record dataclass, in order."""
+    return "".join(
+        f"{name}: {_format(kind, getattr(record, name))}\n"
+        for name, kind in get_type_hints(type(record)).items()
+    )
+
+
+def _parse(text: str, record_type):
+    """Inverse of _emit, accepting exactly what it writes.
+
+    Blank lines and lines starting with # are skipped.  Every other line
+    is `name: value` for a field of record_type, each field exactly once,
+    and the value must be written as _emit writes it, so `1_969`, `+969`,
+    `05` and `0.010` are refused, and so is NaN.  Raises CertificateError.
+    """
+    kinds = get_type_hints(record_type)
+    values = {}
+    for line in map(str.strip, text.splitlines()):
+        if not line or line.startswith("#"):
+            continue
+        name, sep, raw = line.partition(": ")
+        if not sep:
+            raise CertificateError(f"malformed line {line!r}, expected 'name: value'")
+        if name not in kinds:
+            raise CertificateError(f"unknown field {name!r}")
+        if name in values:
+            raise CertificateError(f"repeated field {name!r}")
+        kind = kinds[name]
+        try:
+            value = _READERS[kind](raw)
+        except ValueError:
+            value = None
+        if value is None or raw == "nan" or _format(kind, value) != raw:
+            raise CertificateError(f"bad value for {name!r}: {raw!r}")
+        values[name] = value
+    for name in kinds:
+        if name not in values:
+            raise CertificateError(f"missing field {name!r}")
+    return record_type(**values)
 
 
 def emit_certificate(cert: Certificate) -> str:
     """Serialize a certificate as a key:value document, 17 significant digits."""
-    lines = []
-    for name, kind in _CERT_FIELDS:
-        value = getattr(cert, name)
-        if kind is float:
-            text = format(value, ".17g")
-        elif kind is bool:
-            text = "true" if value else "false"
-        else:
-            text = str(value)
-        lines.append(f"{name}: {text}")
-    return "\n".join(lines) + "\n"
+    return _emit(cert)
 
 
 def parse_certificate(text: str) -> Certificate:
-    """Inverse of emit_certificate; round-trips bit-exactly."""
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise CertificateError(f"malformed certificate line {line!r}")
-        key, _, payload = line.partition(":")
-        values[key.strip()] = payload.strip()
-    kwargs = {}
-    for name, kind in _CERT_FIELDS:
-        if name not in values:
-            raise CertificateError(f"certificate missing field {name!r}")
-        raw = values[name]
-        try:
-            if kind is bool:
-                if raw not in ("true", "false"):
-                    raise ValueError(raw)
-                kwargs[name] = raw == "true"
-            else:
-                kwargs[name] = kind(raw)
-        except ValueError as exc:
-            raise CertificateError(f"bad value for {name!r}: {raw!r}") from exc
-    return Certificate(**kwargs)
+    """Inverse of emit_certificate, bit-exact and strict (see _parse)."""
+    return _parse(text, Certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +262,9 @@ class _GridScan:
         if self.top > 1:
             self.floor = max(self._probe(s) for s in range(self.slabs))
 
-    def total_boxes(self) -> int:
-        return _tetra(self.n)
+    def boxes_before(self, slab: int) -> int:
+        """Number of grid boxes in the slabs before `slab`."""
+        return _tetra(self.n) - _tetra(self.n - min(slab * self.top, self.n))
 
     def _pair(self, fi, fj):
         flat = fi * self.stride + fj
@@ -294,17 +310,15 @@ class _GridScan:
         """Max bound over the grid boxes (i, j, k), i <= j <= k, with
         slab * top <= i < (slab + 1) * top.
 
-        Returns (max_bound, box_count, argmax_indices).  Each top-level box
-        is bisected depth-first; a box is pruned when its bound stays below
-        the larger of `floor` and the slab's running maximum by the margin
+        Returns (max_bound, argmax_indices).  Each top-level box is
+        bisected depth-first; a box is pruned when its bound stays below the
+        larger of `floor` and the slab's running maximum by the margin
         PRUNE_MARGIN, since no grid box inside it can then hold the grid's
-        maximum.  box_count is every grid box of the slab, pruned or not.
+        maximum.
         """
-        n, top = self.n, self.top
-        lo, hi = slab * top, min((slab + 1) * top, n)
         best = -np.inf
-        best_idx = (lo, lo, lo)
-        stack = [(top, *self._top_boxes(slab))]
+        best_idx = (slab * self.top,) * 3
+        stack = [(self.top, *self._top_boxes(slab))]
         while stack:
             m, i, j, k = stack.pop()
             bounds = self._batch_bounds(i, j, k, m)
@@ -318,69 +332,53 @@ class _GridScan:
             # NaN and inf bounds compare False here, so they are refined
             keep = ~(bounds * (1.0 + PRUNE_MARGIN) < max(self.floor, best))
             stack.extend(self._children(m, i[keep], j[keep], k[keep]))
-        return best, _tetra(n - lo) - _tetra(n - hi), best_idx
+        return best, best_idx
 
 
-# checkpoint floats are stored as hex to survive JSON round-trips exactly;
-# "scan" and "top" fix what a slab index means
-def _checkpoint_params(rho, delta, target, fp_slack, scan):
-    return {
-        "rho": float(rho).hex(),
-        "delta": float(delta).hex(),
-        "target": float(target).hex(),
-        "fp_slack": float(fp_slack).hex(),
-        "n": scan.n,
-        "scan": "levels",
-        "top": scan.top,
-    }
+@dataclass(frozen=True)
+class _Checkpoint:
+    """Scan state after the slabs before next_slab, in the certificate's
+    record format.  The first six fields fix what a slab index means;
+    (i, j, k) is the grid box holding max_so_far."""
+
+    rho: float
+    delta: float
+    target: float
+    fp_slack: float
+    n: int
+    top: int
+    next_slab: int
+    max_so_far: float
+    i: int
+    j: int
+    k: int
 
 
-def _write_checkpoint(path, params, next_slab, boxes_done, max_so_far, argmax):
-    state = dict(params)
-    state.update(
-        next_slab=next_slab,
-        boxes_done=boxes_done,
-        max_so_far=float(max_so_far).hex(),
-        argmax=list(argmax),
-    )
+def _write_checkpoint(path: str, state: _Checkpoint) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+        fh.write(_emit(state))
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, params, slabs):
+def _read_checkpoint(path: str, fresh: _Checkpoint, slabs: int) -> _Checkpoint:
+    """The state in `path`, which must match `fresh` in its parameters."""
     try:
         with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-    except ValueError as exc:
-        raise CertificateError(f"checkpoint {path!r} is not JSON") from exc
-    if not isinstance(state, dict):
-        raise CertificateError(f"checkpoint {path!r} is not a JSON object")
-    for key, value in params.items():
-        if state.get(key) != value:
+            state = _parse(fh.read(), _Checkpoint)
+    except (CertificateError, UnicodeDecodeError) as exc:
+        raise CertificateError(f"checkpoint {path!r} is malformed: {exc}") from exc
+    for name in (f.name for f in fields(_Checkpoint)[:6]):
+        if getattr(state, name) != getattr(fresh, name):
             raise CertificateError(
                 f"checkpoint {path!r} was written for different parameters "
-                f"({key} mismatch)"
+                f"({name} mismatch)"
             )
-    try:
-        next_slab, boxes_done = state["next_slab"], state["boxes_done"]
-        max_so_far = float.fromhex(state["max_so_far"])
-        argmax = tuple(state["argmax"])
-        valid = (
-            type(next_slab) is int
-            and 0 <= next_slab <= slabs
-            and type(boxes_done) is int
-            and boxes_done >= 0
-            and not math.isnan(max_so_far)
-            and len(argmax) == 3
-            and all(type(v) is int for v in argmax)
+    if not 0 <= state.next_slab <= slabs:
+        raise CertificateError(
+            f"checkpoint {path!r} resumes at slab {state.next_slab}, outside [0, {slabs}]"
         )
-    except (KeyError, TypeError, ValueError):
-        valid = False
-    if not valid:
-        raise CertificateError(f"checkpoint {path!r} has a missing or ill-typed field")
-    return next_slab, boxes_done, max_so_far, argmax
+    return state
 
 
 def certify(
@@ -410,42 +408,34 @@ def certify(
         raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
     factor = objective_factor(rho)
     workers = resolve_workers(workers)
-    geom = rho_geometry(rho)
-    scan = _GridScan(geom, delta)
-    total = scan.total_boxes()
+    scan = _GridScan(rho_geometry(rho), delta)
+    total = scan.boxes_before(scan.slabs)
 
-    params = _checkpoint_params(rho, delta, target, fp_slack, scan)
-    start_slab, boxes_done, max_so_far, argmax = 0, 0, -math.inf, (0, 0, 0)
+    state = _Checkpoint(rho, delta, target, fp_slack, scan.n, scan.top, 0, -math.inf, 0, 0, 0)
     if checkpoint_path and os.path.exists(checkpoint_path):
-        start_slab, boxes_done, max_so_far, argmax = _read_checkpoint(
-            checkpoint_path, params, scan.slabs
-        )
+        state = _read_checkpoint(checkpoint_path, state, scan.slabs)
 
-    written = boxes_done
-    slabs = range(start_slab, scan.slabs)
+    written = scan.boxes_before(state.next_slab)
+    slabs = range(state.next_slab, scan.slabs)
     with ordered_map(scan.slab_max, slabs, workers) as results:
-        for i, (value, count, idx) in zip(slabs, results):
-            if value > max_so_far:
-                max_so_far, argmax = value, idx
-            boxes_done += count
-            if checkpoint_path and boxes_done - written >= CHECKPOINT_EVERY:
-                _write_checkpoint(checkpoint_path, params, i + 1, boxes_done, max_so_far, argmax)
-                written = boxes_done
+        for slab, (value, (i, j, k)) in zip(slabs, results):
+            if value > state.max_so_far:
+                state = replace(state, max_so_far=value, i=i, j=j, k=k)
+            state = replace(state, next_slab=slab + 1)
+            done = scan.boxes_before(slab + 1)
+            if checkpoint_path and done - written >= CHECKPOINT_EVERY:
+                _write_checkpoint(checkpoint_path, state)
+                written = done
             if on_progress is not None:
-                on_progress(boxes_done, total)
+                on_progress(done, total)
 
-    if boxes_done != total:
-        raise CertificateError(
-            f"scan covered {boxes_done} boxes, expected {total}; "
-            "stale checkpoint?"
-        )
-    certified = max_so_far * factor * (1.0 + fp_slack)
+    certified = state.max_so_far * factor * (1.0 + fp_slack)
     cert = Certificate(
         rho=rho,
         delta=delta,
         target=target,
         boxes_checked=total,
-        max_box_bound=max_so_far,
+        max_box_bound=state.max_so_far,
         certified_bound=certified,
         fp_slack=fp_slack,
         passed=bool(certified < target),
@@ -453,4 +443,3 @@ def certify(
     if checkpoint_path and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
     return cert
-

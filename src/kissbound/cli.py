@@ -9,9 +9,10 @@ Commands:
 Exit codes: 0 success or certified, 1 certification failed, 2 usage,
 3 I/O or packing input error, 4 numeric-domain error.
 
-Every artifact is accompanied by a JSON metadata sidecar (command line,
-configuration echo, version, wall time, output checksum); metadata never
-enters the artifact itself, so artifacts are byte-identical across runs.
+Every run reports its metadata (command line, configuration echo,
+version, wall time, output checksum): certify in a JSON sidecar beside
+the certificate, the other commands as one JSON line on stderr.  Metadata
+never enters an artifact, so artifacts are byte-identical across runs.
 The only environment variable consulted is KISSBOUND_THREADS for the
 default worker count of optimize and certify; an invalid value exits 2.
 """
@@ -110,7 +111,7 @@ def cmd_highdim(args: argparse.Namespace) -> int:
         print("d,rho,f_d,bound")
         print(f"{result.d},{result.rho:.12g},{result.f_d:.12g},{bound:.12g}")
     else:
-        label = f"a({args.d})" if args.rho is None else f"2/f_{args.d}({args.rho:g})"
+        label = f"a({args.d})" if args.rho is None else f"2/f_{args.d}({args.rho:.12g})"
         print(f"{label} = {bound:.9f}  (k_{args.d} < {display})")
     print(
         json.dumps(_metadata(args, started, {"stdout": _sha256(f"{bound:.17g}")})),
@@ -124,10 +125,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     if not (1.0 < args.rho_lo <= args.rho_hi < 3.0):
         raise _UsageError(
             f"sweep interval must satisfy 1 < lo <= hi < 3, "
-            f"got [{args.rho_lo:g}, {args.rho_hi:g}]"
+            f"got [{args.rho_lo:.12g}, {args.rho_hi:.12g}]"
         )
     if not 0.0 < args.step < math.inf:
-        raise _UsageError(f"step must be positive and finite, got {args.step:g}")
+        raise _UsageError(f"step must be positive and finite, got {args.step:.12g}")
     _resolve_worker_arg(args)
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
     results = sweep_rho(
@@ -144,7 +145,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     sys.stdout.write(csv_text)
     if args.format != "csv" and best is not None:
         print(
-            f"# minimum objective {best.objective:.9f} at rho={best.rho:.6g} "
+            f"# minimum objective {best.objective:.9f} at rho={best.rho:.12g} "
             f"(argmax caps: {best.argmax[0]:.9g} {best.argmax[1]:.9g} "
             f"{best.argmax[2]:.9g})"
         )
@@ -194,12 +195,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
     elif cert.passed:
         print(
             f"CERTIFIED k3 < {cert.certified_bound:.17g} "
-            f"(rho={cert.rho:g}, delta={cert.delta:g}, boxes={cert.boxes_checked})"
+            f"(rho={cert.rho:.12g}, delta={cert.delta:.12g}, boxes={cert.boxes_checked})"
         )
     else:
         print(
             f"FAILED certified bound {cert.certified_bound:.17g} >= target "
-            f"{cert.target:g} (rho={cert.rho:g}, delta={cert.delta:g}, "
+            f"{cert.target:.12g} (rho={cert.rho:.12g}, delta={cert.delta:.12g}, "
             f"boxes={cert.boxes_checked})"
         )
     return EXIT_OK if cert.passed else EXIT_CERT_FAILED

@@ -297,18 +297,18 @@ def pruning_objective(rho: float) -> float:
     return _pruned_result(rho, -math.inf).objective
 
 
-def pruning_interval(
-    threshold: float = 14.0,
-    lo: float = 1.001,
-    hi: float = 2.999,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
+# pruning_interval scans rho over [lo, hi] and bisects each crossing to tol
+_PRUNING_LO, _PRUNING_HI, _PRUNING_TOL = 1.001, 2.999, 1e-9
+
+
+def pruning_interval(threshold: float = 14.0) -> tuple[float, float]:
     """Interval of rho where pruning_objective stays below the threshold.
 
     The objective blows up toward both ends of (1, 3) and dips below the
     threshold on one middle interval; both crossings are located by
-    bisection to tol.
+    bisection to 1e-9.
     """
+    lo, hi, tol = _PRUNING_LO, _PRUNING_HI, _PRUNING_TOL
 
     def objective(rho: float) -> float:
         # the equilateral triangle degenerates numerically as rho -> 1;

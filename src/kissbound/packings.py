@@ -322,6 +322,9 @@ def coverage_audit(
     the implementation, not the packing.
     """
     check_rho(rho)
+    if max_density_ref is not None and not math.isfinite(max_density_ref):
+        # no per-ball sum exceeds a NaN or infinite reference: the check would be void
+        raise DomainError(f"max density reference must be finite, got {max_density_ref!r}")
     graph = contact_graph(packing)
     radii = np.array([b.radius for b in packing.balls], dtype=np.float64)
     # rows (i, j) of ends pair with rows (a_ij, a_ji) of fractions; raveled,

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kissbound import (
     Box,
@@ -29,7 +31,7 @@ from kissbound._kernels import (
     triangle_angles_vec,
 )
 from kissbound import certifier as certifier_module
-from kissbound.certifier import _GridScan, _checkpoint_params
+from kissbound.certifier import _Checkpoint, _GridScan, _emit, _parse
 
 RHO = 1.755
 GEOM = rho_geometry(RHO)
@@ -298,7 +300,7 @@ class TestLevelScan:
         scan = _GridScan(GEOM, delta)
         cert = certify(RHO, delta, 14.5, workers=workers)
         assert cert.max_box_bound.hex() == _exhaustive_max(scan)[0].hex()
-        assert cert.boxes_checked == scan.total_boxes()
+        assert cert.boxes_checked == scan.boxes_before(scan.slabs)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("delta", sorted(PINNED_CERTIFICATES))
@@ -313,7 +315,7 @@ class TestLevelScan:
         best, (i, j, k) = _exhaustive_max(scan)
         scan.floor = float(scan._batch_bounds(i // 2 * 2, j // 2 * 2, k // 2 * 2, 2))
         assert scan.floor > best
-        value, _, idx = scan.slab_max(i // scan.top)
+        value, idx = scan.slab_max(i // scan.top)
         assert value == best
         assert idx == (i, j, k)
 
@@ -322,7 +324,7 @@ class TestCertify:
     def test_small_run_reproducible_fields(self):
         cert = certify(RHO, 0.01, 14.5, workers=1)
         scan = _GridScan(GEOM, 0.01)
-        assert cert.boxes_checked == scan.total_boxes()
+        assert cert.boxes_checked == scan.boxes_before(scan.slabs)
         n = scan.n
         assert cert.boxes_checked == n * (n + 1) * (n + 2) // 6
         assert cert.certified_bound == pytest.approx(
@@ -426,26 +428,56 @@ class TestCertify:
             certify(RHO, 0.02, 14.5, workers=1, checkpoint_path=path)
 
     @staticmethod
-    def _checkpoint_text(kind):
-        if kind == "garbage":
-            return "garbage"
-        if kind == "list":
-            return "[1, 2]"
-        state = _checkpoint_params(RHO, 0.01, 14.5, 1e-9, _GridScan(GEOM, 0.01))
-        state.update(next_slab=3, boxes_done=10_000, max_so_far=(0.9).hex(), argmax=[0, 0, 0])
-        if kind == "uniform":
-            # the uniform row scan's format, whose slabs were single rows
-            del state["scan"], state["top"]
-        else:
-            state["next_slab"] = "3"
-        return json.dumps(state)
+    def _checkpoint_bytes(kind):
+        scan = _GridScan(GEOM, 0.01)
+        record = _emit(_Checkpoint(RHO, 0.01, 14.5, 1e-9, scan.n, scan.top, 3, 0.9, 0, 0, 0))
+        # the JSON format of earlier versions, whose floats were hex strings
+        old = {
+            "rho": RHO.hex(), "delta": (0.01).hex(), "target": (14.5).hex(),
+            "fp_slack": (1e-9).hex(), "n": scan.n, "scan": "levels", "top": scan.top,
+            "next_slab": 3, "boxes_done": 10_000, "max_so_far": (0.9).hex(),
+            "argmax": [0, 0, 0],
+        }
+        # the uniform row scan's format, whose slabs were single rows
+        uniform = {key: value for key, value in old.items() if key not in ("scan", "top")}
+        return {
+            "garbage": b"garbage",
+            "list": b"[1, 2]",
+            "uniform": json.dumps(uniform).encode(),
+            "levels_json": json.dumps(old).encode(),
+            "ill_typed": record.replace("next_slab: 3", "next_slab: three").encode(),
+            "slab_range": record.replace("next_slab: 3", f"next_slab: {scan.slabs + 1}").encode(),
+            "non_utf8": record.encode() + b"# \xff\n",
+        }[kind]
 
-    @pytest.mark.parametrize("kind", ["garbage", "list", "uniform", "ill_typed"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["garbage", "list", "uniform", "levels_json", "ill_typed", "slab_range", "non_utf8"],
+    )
     def test_corrupt_checkpoint_rejected(self, tmp_path, kind):
         path = tmp_path / "scan.ckpt"
-        path.write_text(self._checkpoint_text(kind), encoding="utf-8")
+        path.write_bytes(self._checkpoint_bytes(kind))
         with pytest.raises(CertificateError, match="checkpoint"):
             certify(RHO, 0.01, 14.5, workers=1, checkpoint_path=str(path))
+
+    def test_checkpoint_is_a_record(self, monkeypatch, tmp_path):
+        # a crash leaves the scan state in the certificate's key: value format
+        monkeypatch.setattr(certifier_module, "CHECKPOINT_EVERY", 2_000)
+        path = tmp_path / "scan.ckpt"
+
+        def interrupt(done, total):
+            raise RuntimeError("simulated crash")
+
+        with pytest.raises(RuntimeError):
+            certify(RHO, 0.01, 14.5, workers=1, checkpoint_path=str(path), on_progress=interrupt)
+        text = path.read_text(encoding="utf-8")
+        state = _parse(text, _Checkpoint)
+        assert _emit(state) == text
+        scan = _GridScan(GEOM, 0.01)
+        assert (state.rho, state.delta, state.n, state.top) == (RHO, 0.01, scan.n, scan.top)
+        assert state.next_slab == 1
+        assert state.max_so_far == scan.slab_max(0)[0]
+        assert (state.i, state.j, state.k) == scan.slab_max(0)[1]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -523,3 +555,50 @@ class TestCertificateIO:
         )
         with pytest.raises(CertificateError):
             parse_certificate(corrupted)
+
+    @example(floats=[math.inf, -math.inf, -0.0, 0.0, 5e-324], boxes=-1, passed=False)
+    @given(
+        floats=st.lists(st.floats(allow_nan=False), min_size=5, max_size=5),
+        boxes=st.integers(),
+        passed=st.booleans(),
+    )
+    def test_round_trip_property(self, floats, boxes, passed):
+        rho, delta, target, bound, slack = floats
+        cert = Certificate(rho, delta, target, boxes, bound, bound, slack, passed)
+        text = emit_certificate(cert)
+        parsed = parse_certificate(text)
+        assert parsed == cert
+        # the text keeps every bit, the sign of -0.0 included
+        assert emit_certificate(parsed) == text
+
+    def test_round_trip_infinite_bound(self):
+        # near rho = 3 every box bound is inf, and the certificate says so
+        cert = certify(2.9999999, 0.01, 14.5, workers=1)
+        text = emit_certificate(cert)
+        assert "max_box_bound: inf\n" in text
+        assert parse_certificate(text) == cert
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("passed: true", "passed: false\npassed: true"),
+            ("passed: true", "passed: true\nverified: true"),
+            ("max_box_bound: 0.", "max_box_bound: nan\n# 0."),
+            ("boxes_checked: 98", "boxes_checked: 98_"),
+            ("boxes_checked: ", "boxes_checked: +"),
+            ("boxes_checked: ", "boxes_checked: 0"),
+            ("delta: 0.01", "delta: 0.010"),
+            ("rho: ", "rho:"),
+        ],
+        ids=["repeated", "unknown", "nan", "underscore", "plus", "leading_zero",
+             "trailing_zero", "no_space"],
+    )
+    def test_parse_rejects_what_emit_never_writes(self, old, new):
+        text = emit_certificate(certify(RHO, 0.01, 14.9, workers=1))
+        assert old in text
+        with pytest.raises(CertificateError):
+            parse_certificate(text.replace(old, new, 1))
+
+    def test_parse_skips_blank_and_comment_lines(self):
+        text = emit_certificate(certify(RHO, 0.01, 14.5, workers=1))
+        assert parse_certificate("# header\n\n" + text + "\n") == parse_certificate(text)

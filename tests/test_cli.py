@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,12 @@ class TestHighdim:
         assert code == 0
         bound = float(out.strip().split("\n")[1].split(",")[3])
         assert bound > 34.681
+
+    def test_label_names_the_ratio_used(self, capsys):
+        # a 7-digit ratio is printed as given, not rounded to 6 digits
+        code, out, _ = run(capsys, "highdim", "--d", "3", "--rho", "1.0000001")
+        assert code == 0
+        assert out.startswith("2/f_3(1.0000001) = ")
 
     @pytest.mark.parametrize("d, rho", [("64", "1.0000000000000002"), ("3", "2.9999999999999996")])
     def test_vanishing_f_d_exit_four(self, capsys, d, rho):
@@ -267,9 +274,9 @@ class TestCertify:
         assert code == 0
         assert out.startswith("CERTIFIED k3 < ")
         assert "boxes=1499784" in out
-        cert = parse_certificate(open(out_path).read())
+        cert = parse_certificate(Path(out_path).read_text(encoding="utf-8"))
         assert cert.passed
-        meta = json.load(open(out_path + ".meta.json"))
+        meta = json.loads(Path(out_path + ".meta.json").read_text(encoding="utf-8"))
         assert meta["outputs"][out_path]
         assert meta["configuration"]["delta"] == 0.004
 
@@ -286,7 +293,7 @@ class TestCertify:
         )
         assert code == 1
         assert out.startswith("FAILED")
-        assert not parse_certificate(open(out_path).read()).passed
+        assert not parse_certificate(Path(out_path).read_text(encoding="utf-8")).passed
 
     def test_byte_identical_artifacts_across_runs(self, capsys, tmp_path):
         paths = [str(tmp_path / f"cert{i}.txt") for i in (1, 2)]
@@ -346,7 +353,7 @@ class TestCertify:
             "--output", out_path,
         )
         assert code == 0
-        meta = json.load(open(out_path + ".meta.json"))
+        meta = json.loads(Path(out_path + ".meta.json").read_text(encoding="utf-8"))
         assert meta["configuration"]["workers"] == 1
 
     @pytest.mark.parametrize("threads", ["abc", "0"])
@@ -404,10 +411,20 @@ class TestCertify:
         assert not out_path.exists()
         assert not (tmp_path / "c.txt.meta.json").exists()
 
-    @pytest.mark.parametrize("content", ["garbage", "[1,2]"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"garbage",
+            b"[1,2]",
+            # the JSON checkpoint of earlier versions
+            b'{"rho": "0x1.c147ae147ae14p+0", "n": 83, "scan": "levels", "top": 1}',
+            b"rho: 1.7549999999999999\n# \xff\n",
+        ],
+        ids=["garbage", "[1,2]", "json", "non_utf8"],
+    )
     def test_corrupt_checkpoint_exit_four(self, capsys, tmp_path, content):
         checkpoint = tmp_path / "scan.ckpt"
-        checkpoint.write_text(content, encoding="utf-8")
+        checkpoint.write_bytes(content)
         out_path = tmp_path / "c.txt"
         code, _, err = run(
             capsys,

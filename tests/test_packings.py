@@ -584,3 +584,9 @@ class TestCoverageAudit:
     def test_domain(self):
         with pytest.raises(DomainError):
             coverage_audit(fcc_fragment(1), 3.5)
+
+    @pytest.mark.parametrize("reference", [math.nan, math.inf])
+    def test_non_finite_density_reference_rejected(self, reference):
+        # a NaN reference once switched the per-ball check off: no sum exceeds it
+        with pytest.raises(DomainError, match="finite"):
+            coverage_audit(fcc_fragment(2), 1.755, max_density_ref=reference)
