@@ -11,7 +11,9 @@ top.  The kernels see corners only through providers: `pair(u, v)` gives
 cos and sin of the side u + v, `coord(u)` the cap radius and `k_of(u)` the
 cap area K at u.  The defaults compute all three from radii; the grid scan
 passes grid indices with table lookups, so both paths share every
-expression.
+expression.  A box bound reads 12 sides per box (the three low corners'
+angles and the lower corner's area) and 3 more, the all-high triangle,
+only on the boxes where the corner rule can pick that corner.
 
 Invalid spherical-triangle configurations are handled in the direction
 that keeps box bounds sound: angle upper bounds degrade to pi, area lower
@@ -161,18 +163,28 @@ def box_angles_upper_vec(a, b, c, ua, ub, uc, pair=_trig_of_sum, coord=_radius):
     in x and increasing in y, z, so the maximum sits at (x low, y and z
     high); with 2x + y + z >= pi throughout it sits at the all-high
     corner; otherwise both corners are evaluated and the larger is taken.
-    y and z follow with 2y + x + z and 2z + x + y.  The all-high corners
-    of the three vertices are the one triangle (ua, ub, uc).
+    y and z follow with 2y + x + z and 2z + x + y.  The low corners are
+    evaluated on every box; the all-high corners of the three vertices are
+    the one triangle (ua, ub, uc), evaluated only on the boxes where some
+    upper-corner sum exceeds pi (about 0.5% of the boxes the certificate's
+    scan evaluates).  Each element gets the bits of evaluating both everywhere.
     """
+    a, b, c, ua, ub, uc = np.broadcast_arrays(a, b, c, ua, ub, uc)
     low_only = _doubled_sums(*map(coord, (ua, ub, uc))) <= PI
-    high_only = _doubled_sums(*map(coord, (a, b, c))) >= PI
-    low = np.array(np.broadcast_arrays(
+    angles = np.array([
         angle_upper_at(a, ub, uc, pair),
         angle_upper_at(b, ua, uc, pair),
         angle_upper_at(c, ua, ub, pair),
-    ))
-    high = _angle_upper(triangle_args_vec(ua, ub, uc, pair))
-    return np.where(low_only, low, np.where(high_only, high, np.maximum(low, high)))
+    ])
+    rest = np.flatnonzero(~low_only.all(axis=0))
+    if rest.size:
+        a, b, c, ua, ub, uc = (np.take(v, rest) for v in (a, b, c, ua, ub, uc))
+        high_only = _doubled_sums(*map(coord, (a, b, c))) >= PI
+        high = _angle_upper(triangle_args_vec(ua, ub, uc, pair))
+        flat, low_only = angles.reshape(3, -1), low_only.reshape(3, -1)[:, rest]
+        low = flat[:, rest]
+        flat[:, rest] = np.where(low_only, low, np.where(high_only, high, np.maximum(low, high)))
+    return angles
 
 
 def box_density_upper_vec(

@@ -65,7 +65,7 @@ DEFAULT_FP_SLACK = 1e-9
 CHECKPOINT_EVERY = 10_000_000
 # boxes evaluated in one vectorized batch: small enough that the kernel's
 # temporaries stay in cache instead of faulting in fresh pages
-MAX_BATCH = 32_768
+MAX_BATCH = 16_384
 # a box is pruned only when its bound, raised by this relative margin,
 # stays below a grid box's bound
 PRUNE_MARGIN = 1e-12
@@ -260,7 +260,7 @@ class _GridScan:
         # every grid box
         self.floor = -math.inf
         if self.top > 1:
-            self.floor = max(self._probe(s) for s in range(self.slabs))
+            self.floor = self._probe()
 
     def boxes_before(self, slab: int) -> int:
         """Number of grid boxes in the slabs before `slab`."""
@@ -286,12 +286,12 @@ class _GridScan:
         j, k = np.triu_indices(lows.size)
         return np.full(j.size, slab * self.top), lows[j], lows[k]
 
-    def _probe(self, slab: int) -> float:
-        """Largest bound among the grid boxes at the centres of the slab's
-        top-level boxes (NaN bounds are skipped)."""
-        centres = (np.minimum(v + self.top // 2, self.n - 1) for v in self._top_boxes(slab))
-        bounds = self._batch_bounds(*centres)
-        return float(np.fmax.reduce(bounds, initial=-np.inf))
+    def _probe(self) -> float:
+        """Largest bound among the grid boxes at the centres of all
+        top-level boxes, in one batch (NaN bounds are skipped)."""
+        tops = zip(*(self._top_boxes(s) for s in range(self.slabs)))
+        centres = (np.minimum(np.concatenate(v) + self.top // 2, self.n - 1) for v in tops)
+        return float(np.fmax.reduce(self._batch_bounds(*centres), initial=-np.inf))
 
     def _children(self, m: int, i, j, k):
         """The children of side m // 2 that hold grid boxes with
@@ -381,6 +381,15 @@ def _read_checkpoint(path: str, fresh: _Checkpoint, slabs: int) -> _Checkpoint:
     return state
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless a file can be written at path."""
+    parent = os.path.dirname(path) or "."
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: {parent!r} is not a writable directory")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+
+
 def certify(
     rho: float,
     delta: float,
@@ -396,7 +405,8 @@ def certify(
     else all cores; at most one per slab left) and reduced in order, so the
     certificate is identical for any worker count.  The scan state goes to
     checkpoint_path every CHECKPOINT_EVERY boxes and is removed on success;
-    a matching file resumes the scan, any other raises CertificateError.
+    a matching file resumes the scan, any other raises CertificateError,
+    and a path that cannot be written raises OSError before the scan.
     on_progress(boxes_done, total) is called after each slab.
 
     Returns the Certificate; passed is True iff
@@ -408,6 +418,8 @@ def certify(
         raise DomainError(f"fp_slack must be non-negative and finite, got {fp_slack!r}")
     factor = objective_factor(rho)
     workers = resolve_workers(workers)
+    if checkpoint_path:
+        _check_writable(checkpoint_path)
     scan = _GridScan(rho_geometry(rho), delta)
     total = scan.boxes_before(scan.slabs)
 

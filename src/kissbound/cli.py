@@ -28,7 +28,7 @@ import time
 
 from . import __version__
 from ._parallel import resolve_workers
-from .certifier import DEFAULT_FP_SLACK, certify, emit_certificate
+from .certifier import DEFAULT_FP_SLACK, _check_writable, certify, emit_certificate
 from .density import SearchConfig, sweep_rho, sweep_to_csv
 from .errors import DomainError, KissboundError, PackingError
 from .highdim import MAX_DIMENSION, MIN_DIMENSION, a_of_d, k_bound_highdim
@@ -173,6 +173,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
+    _check_writable(args.output)
     cert = certify(
         rho=args.rho,
         delta=args.delta,

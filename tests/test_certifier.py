@@ -308,6 +308,17 @@ class TestLevelScan:
         cert = certify(RHO, delta, 14.5, workers=workers)
         assert emit_certificate(cert) == PINNED_CERTIFICATES[delta]
 
+    @pytest.mark.parametrize("delta", [0.004, 0.002])
+    def test_floor_is_max_of_slab_probes(self, delta):
+        # the one-batch probe against one batch of centre boxes per slab
+        scan = _GridScan(GEOM, delta)
+        probes = []
+        for slab in range(scan.slabs):
+            centres = (np.minimum(v + scan.top // 2, scan.n - 1) for v in scan._top_boxes(slab))
+            probes.append(float(np.fmax.reduce(scan._batch_bounds(*centres), initial=-np.inf)))
+        assert scan.slabs > 1
+        assert scan.floor == max(probes)
+
     def test_box_at_threshold_is_refined(self):
         # a parent whose bound equals the pruning threshold is bisected, so
         # the grid box below it that holds the maximum is still found

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from kissbound import SearchConfig, parse_certificate, sweep_rho
+from kissbound import certifier as certifier_module
 from kissbound.certifier import DEFAULT_FP_SLACK
 from kissbound.cli import build_parser, main
 from kissbound.packings import DEFAULT_TOLERANCE
@@ -440,6 +441,40 @@ class TestCertify:
         assert "checkpoint" in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "option, name, message",
+        [
+            ("--output", "missing/c.txt", "not a writable directory"),
+            ("--output", ".", "it is a directory"),
+            ("--checkpoint", "missing/scan.ckpt", "not a writable directory"),
+            ("--checkpoint", ".", "it is a directory"),
+        ],
+        ids=["output_parent_missing", "output_directory", "checkpoint_parent_missing",
+             "checkpoint_directory"],
+    )
+    def test_unwritable_path_exit_three_before_the_scan(
+        self, capsys, monkeypatch, tmp_path, option, name, message
+    ):
+        def no_scan(*args):
+            raise AssertionError("grid tables built for a path that cannot be written")
+
+        monkeypatch.setattr(certifier_module, "_GridScan", no_scan)
+        paths = {"--output": str(tmp_path / "c.txt"), option: str(tmp_path / name)}
+        code, out, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--target", "13.955",
+            "--delta", "0.0005",
+            "--workers", "1",
+            *(part for item in paths.items() for part in item),
+        )
+        assert code == 3
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_oversized_grid_exit_four(self, capsys, tmp_path):
         out_path = tmp_path / "c.txt"

@@ -139,12 +139,23 @@ def reference_boxes(rng, geom, count):
     return lows, ups
 
 
-@pytest.mark.parametrize("rho", [1.3, 1.755, 2.5])
-def test_stacked_box_bound_matches_per_axis_form(rng, rho):
-    # the all-high corners as one triangle, the sums read once and one
-    # quotient give the bits of one call per axis
-    g = rho_geometry(rho)
-    (a, b, c), (ua, ub, uc) = lows, ups = reference_boxes(rng, g, 20_000)
+def corner_boxes(rng, side, count):
+    """Lower corners of boxes of one side on which the all-high corner is
+    picked: boxes above pi at the lower corner on every axis, boxes
+    straddling pi on a random axis, and both mixed with boxes below pi at
+    the upper corner."""
+    high = rng.uniform(0.8, 1.2, size=(3, count))
+    straddle = rng.uniform(0.5, 1.0, size=(3, count))
+    own, cols = rng.integers(3, size=count), np.arange(count)
+    others = straddle.sum(axis=0) - straddle[own, cols]
+    straddle[own, cols] = (PI - others - 4.0 * side * rng.uniform(size=count)) / 2.0
+    low = rng.uniform(0.1, 0.5, size=(3, count))
+    mixed = np.concatenate([low, high, straddle], axis=1)
+    return high, straddle, mixed[:, rng.permutation(3 * count)]
+
+
+def assert_matches_per_axis_form(geom, lows, ups):
+    (a, b, c), (ua, ub, uc) = lows, ups
     expected = [
         per_axis_angle_upper(a, b, c, ua, ub, uc),
         per_axis_angle_upper(b, a, c, ub, ua, uc),
@@ -152,12 +163,51 @@ def test_stacked_box_bound_matches_per_axis_form(rng, rho):
     ]
     angles = box_angles_upper_vec(a, b, c, ua, ub, uc)
     np.testing.assert_array_equal(angles, expected)
-    bound = box_density_upper_vec(g, a, b, c, ua, ub, uc)
-    np.testing.assert_array_equal(bound, per_axis_box_bound(g, a, b, c, ua, ub, uc))
+    bound = box_density_upper_vec(geom, a, b, c, ua, ub, uc)
+    np.testing.assert_array_equal(bound, per_axis_box_bound(geom, a, b, c, ua, ub, uc))
+    return angles, bound
+
+
+@pytest.mark.parametrize("rho", [1.3, 1.755, 2.5])
+def test_stacked_box_bound_matches_per_axis_form(rng, rho):
+    # the all-high corners as one triangle, the sums read once and one
+    # quotient give the bits of one call per axis
+    g = rho_geometry(rho)
+    lows, ups = reference_boxes(rng, g, 20_000)
+    angles, bound = assert_matches_per_axis_form(g, lows, ups)
     # the samples reach each axis's straddling case and the conservative fills
     s_lo, s_hi = (2.0 * v + v.sum(axis=0) - v for v in (lows, ups))
     assert ((s_lo < PI) & (PI < s_hi)).any(axis=1).all()
     assert (angles == PI).any() and np.isinf(bound).any() and np.isfinite(bound).any()
+    # batches where the high corner alone, or both corners, are picked, and
+    # one mixing them with low-corner boxes, at sides of 1 to 32 grid steps
+    for steps in (1, 2, 8, 32):
+        side = steps * 0.002
+        high, straddle, mixed = corner_boxes(rng, side, 2_000)
+        for lows in (high, straddle, mixed):
+            ups = lows + side
+            s_lo, s_hi = (2.0 * v + v.sum(axis=0) - v for v in (lows, ups))
+            assert (s_hi > PI).any(axis=0).mean() >= 2 / 3
+            assert_matches_per_axis_form(g, lows, ups)
+        assert (s_lo >= PI).all(axis=0).any() and (s_hi <= PI).all(axis=0).any()
+
+
+def test_grid_batches_match_per_axis_form(rng):
+    # at rho 2.5 the grid holds boxes on both sides of the corner rule; the
+    # table path gives each box the bits of the per-axis form on its edges
+    g = rho_geometry(2.5)
+    scan = _GridScan(g, 0.002)
+    for m in (1, 2, 8, 32):
+        i, j, k = np.sort(rng.integers(0, scan.n, size=(3, 20_000)), axis=0)
+        ui, uj, uk = (np.minimum(v + m, scan.n) for v in (i, j, k))
+        edges = scan.g
+        ups = np.array([edges[ui], edges[uj], edges[uk]])
+        rest = (2.0 * ups + ups.sum(axis=0) - ups > PI).any(axis=0)
+        assert 0.05 < rest.mean() < 0.95
+        np.testing.assert_array_equal(
+            scan._batch_bounds(i, j, k, m),
+            per_axis_box_bound(g, edges[i], edges[j], edges[k], *ups),
+        )
 
 
 @pytest.mark.parametrize("rho", [1.3, 1.755, 2.5])
@@ -176,15 +226,14 @@ def test_box_api_matches_per_axis_form(rng, rho):
         ]
 
 
-def test_batch_reads_fifteen_sides(monkeypatch):
-    # the per-axis form made 21 pair, 18 coord and 3 k_of calls a batch
-    scan = _GridScan(rho_geometry(1.755), 0.01)
-    calls = collections.Counter()
+def count_reads(monkeypatch, scan, i, j, k):
+    """Elements each provider reads for one _batch_bounds batch."""
+    reads = collections.Counter()
     kernel = _kernels.box_density_upper_vec
 
     def counted(name, provider):
         def call(*args):
-            calls[name] += 1
+            reads[name] += np.broadcast(*args).size
             return provider(*args)
 
         return call
@@ -196,11 +245,27 @@ def test_batch_reads_fifteen_sides(monkeypatch):
         )
 
     monkeypatch.setattr(_kernels, "box_density_upper_vec", counting_kernel)
+    scan._batch_bounds(i, j, k)
+    monkeypatch.undo()
+    return reads
+
+
+def test_batch_reads_twelve_sides(monkeypatch):
+    # 9 low-corner and 3 area sides per box, and the all-high triangle's 3
+    # sides and 3 lower coordinates only on the boxes that need it; the
+    # per-axis form read 21 sides a box, the first stacked kernel 15
+    scan = _GridScan(rho_geometry(2.5), 0.01)
     j, k = np.triu_indices(scan.n)
-    scan._batch_bounds(np.zeros_like(j), j, k)
-    assert calls["pair"] <= 15
-    assert calls["coord"] <= 6
-    assert calls["k_of"] == 1
+    i = np.zeros_like(j)
+    up = scan.g[np.array([i, j, k]) + 1]
+    rest = (2.0 * up + up.sum(axis=0) - up > PI).any(axis=0)
+    size, extra = i.size, rest.sum()
+    assert 0 < extra < size
+    reads = count_reads(monkeypatch, scan, i[~rest], j[~rest], k[~rest])
+    low = size - extra
+    assert reads == {"pair": 12 * low, "coord": 3 * low, "k_of": 3 * low}
+    reads = count_reads(monkeypatch, scan, i, j, k)
+    assert reads == {"pair": 12 * size + 3 * extra, "coord": 3 * (size + extra), "k_of": 3 * size}
 
 
 def test_K_with_lane_geometry_matches_scalar_geometry(rng):
