@@ -59,8 +59,7 @@ def triangle_args_vec(x, y, z, pair=_trig_of_sum):
     cos_xy, sin_xy = pair(x, y)
     # written in place: stacking three finished rows copies every scan
     # batch once more, which cost the grid scan measurable time
-    shape = np.broadcast_shapes(np.shape(cos_yz), np.shape(cos_xz), np.shape(cos_xy))
-    args = np.empty((3, *shape))
+    args = np.empty((3, *np.broadcast(cos_yz, cos_xz, cos_xy).shape))
     _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy, out=args[0, ...])
     _angle_arg(cos_xz, cos_xy, cos_yz, sin_xy, sin_yz, out=args[1, ...])
     _angle_arg(cos_xy, cos_xz, cos_yz, sin_xz, sin_yz, out=args[2, ...])
@@ -119,8 +118,8 @@ def _density_quotient(k, angles, area, fill):
     """(K_x angle_x + K_y angle_y + K_z angle_z) / (2 pi area) from rows per
     vertex, summed in vertex order; `fill` where the area is not positive."""
     terms = k * angles
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(area > 0.0, (terms[0] + terms[1] + terms[2]) / (TWO_PI * area), fill)
+    out = np.full(np.broadcast(terms[0], area).shape, fill)
+    return np.divide(terms[0] + terms[1] + terms[2], TWO_PI * area, out=out, where=area > 0.0)
 
 
 def density_vec(geom: RhoGeometry, x, y, z):
@@ -130,8 +129,9 @@ def density_vec(geom: RhoGeometry, x, y, z):
     one clip and arccos, one validity test, one K.
     """
     angles, valid = triangle_angles_vec(x, y, z)
-    k = K_vec(geom, np.array(np.broadcast_arrays(x, y, z)))
-    return _density_quotient(k, angles, excess_vec(angles, valid), np.nan)
+    radii = np.empty(angles.shape)
+    radii[0], radii[1], radii[2] = x, y, z
+    return _density_quotient(K_vec(geom, radii), angles, excess_vec(angles, valid), np.nan)
 
 
 def _angle_upper(args):

@@ -20,7 +20,11 @@ lanes together: all of a `max_density` call, or a run of consecutive
 ratios of a `sweep_rho` call, each lane looking up its own ratio's
 geometry.  The loop's numpy calls are then shared by every lane, and the
 objective `_kernels.density_vec` runs its arccos and K stages once on the
-three vertices stacked.  A run holds at most MAX_LOOP_LANES lanes, and a
+three vertices stacked.  An iteration costs a fixed part (its numpy calls
+and two objective calls, three when some lane shrinks) plus a part per
+live lane, and the loop runs as many iterations as its slowest lane: at
+the `sweep` benchmark's 880 lanes, 786, though half the lanes are done by
+iteration 289.  A run holds at most MAX_LOOP_LANES lanes, and a
 ratio at most MAX_STARTS.  `sweep_rho` hands runs to worker processes
 through `_parallel.ordered_map`.  Lanes never mix, so a ratio's result has
 the same bits whichever ratios share its loop and whichever worker runs it.
@@ -74,8 +78,9 @@ class SearchConfig:
             raise DomainError(f"grid step must be positive and finite, got {self.grid_step!r}")
         if not 0.0 <= self.tol < math.inf:
             raise DomainError(f"tol must be non-negative and finite, got {self.tol!r}")
-        if not self.max_iterations >= 1:
-            raise DomainError(f"max_iterations must be at least 1, got {self.max_iterations!r}")
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or not count >= 1:
+            raise DomainError(f"max_iterations must be an integer of at least 1, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,22 @@ REFLECT, EXPAND, CONTRACT, SHRINK, INITIAL_SCALE = 1.0, 2.0, 0.5, 0.5, 1.05
 
 
 def _neg_density(geom: RhoGeometry, points: np.ndarray) -> np.ndarray:
-    """-D at points (..., 3), each sorted first; +inf outside I_rho^3 or where D is NaN.
+    """-D at points (3, ...), coordinates first, each sorted first; +inf
+    outside I_rho^3 or where D is NaN.  The fields of geom are scalars, or
+    arrays over the last axis of points that give each lane its own ratio."""
+    x, y, z = _sort3(*points)
+    # a NaN coordinate makes z NaN, so such a point is outside too
+    inside = (x >= geom.alpha_min) & (z <= geom.alpha_max)
+    value = -density_vec(geom, x, y, z)
+    return np.where(inside & ~np.isnan(value), value, np.inf)
 
-    The fields of geom are scalars, or arrays over the first axis of
-    points that give each lane its own ratio: transposed, a lane's points
-    line up with its geometry along the last axis.
-    """
-    coords = points.T
-    inside = ((coords >= geom.alpha_min) & (coords <= geom.alpha_max)).all(axis=0)
-    value = -density_vec(geom, *np.sort(points, axis=-1).T)
-    return np.where(inside & ~np.isnan(value), value, np.inf).T
+
+def _sort3(x, y, z):
+    """Points (x, y, z) sorted by a min/max network: np.sort's bits, but for
+    points with a NaN (z is then NaN too) or 0.0 and -0.0, all outside I_rho^3."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    mid = np.minimum(hi, z)
+    return np.minimum(lo, mid), np.maximum(lo, mid), np.maximum(hi, z)
 
 
 def _search(
@@ -181,9 +192,10 @@ def _search(
 ) -> list[SweepResult]:
     """Multistart Nelder-Mead at every ratio of `geoms` in one lockstep loop.
 
-    A lane is one (ratio, start) pair: a row of an (S, 4, 3) array of
-    simplices with (S, 4) values.  `owner` names each lane's ratio, and the
-    objective gets that ratio's column of the geometry table.  A lane
+    A lane is one (ratio, start) pair: the last axis of a (3, 4, S) array
+    of simplices (coordinate, vertex, lane) with (4, S) values, so each
+    step runs on rows over the lanes.  `owner` names each lane's ratio, and
+    the objective gets that ratio's column of the geometry table.  A lane
     stops once its simplex size and value spread are both within cfg.tol,
     or after cfg.max_iterations passes.  Per-lane masks choose reflection,
     expansion, contraction or shrink.  Points outside I_rho^3 get an
@@ -196,52 +208,55 @@ def _search(
     start = np.asarray([p for s in starts for p in s], dtype=np.float64).reshape(-1, 3)
     table = np.array([(g.rho, g.alpha_min, g.alpha_zero, g.alpha_max) for g in geoms]).T
     # vertex k + 1 of a start's simplex scales its coordinate k
-    sim = start[:, None, :] * np.where(np.eye(4, 3, k=-1, dtype=bool), INITIAL_SCALE, 1.0)
+    sim = start.T[:, None] * np.where(np.eye(3, 4, k=1, dtype=bool), INITIAL_SCALE, 1.0)[..., None]
     fsim = _neg_density(RhoGeometry(*table[:, owner]), sim)
     best_x, best_f = start.copy(), np.full(len(start), np.inf)
     # per lane: simplex updates made, and how many of them shrank the simplex
     steps, shrinks = np.zeros(len(start), np.int64), np.zeros(len(start), np.int64)
-    lanes = np.flatnonzero(np.isfinite(fsim[:, 0]))
-    sim, fsim = sim[lanes], fsim[lanes]
+    lanes = np.flatnonzero(np.isfinite(fsim[0]))
+    sim, fsim, cols = sim[:, :, lanes], fsim[:, lanes], table[:, owner[lanes]]
+    geom, rows = RhoGeometry(*cols), np.arange(len(lanes))
     for iteration in itertools.count(1):
-        order = np.argsort(fsim, axis=1, kind="stable")
-        rows = np.arange(len(lanes))[:, None]
-        sim, fsim = sim[rows, order], fsim[rows, order]
-        size = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2))
-        spread = np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1)
+        order = np.argsort(fsim, axis=0, kind="stable")
+        sim, fsim = sim[:, order, rows], fsim[order, rows]
+        size = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(0, 1))
+        # the values are sorted, so the largest |f_k - f_0| is f_3 - f_0
+        spread = fsim[3] - fsim[0]
         done = ((size <= cfg.tol) & (spread <= cfg.tol)) | (iteration >= cfg.max_iterations)
-        best_x[lanes[done]], best_f[lanes[done]] = sim[done, 0], fsim[done, 0]
-        steps[lanes[done]] = iteration - 1
-        lanes, sim, fsim = lanes[~done], sim[~done], fsim[~done]
+        if done.any():
+            best_x[lanes[done]], best_f[lanes[done]] = sim[:, 0, done].T, fsim[0, done]
+            steps[lanes[done]] = iteration - 1
+            lanes, sim, fsim, cols = lanes[~done], sim[:, :, ~done], fsim[:, ~done], cols[:, ~done]
+            geom, rows = RhoGeometry(*cols), np.arange(len(lanes))
         if not lanes.size:
             break
 
-        own = owner[lanes]
-        geom = RhoGeometry(*table[:, own])
         xbar, worst = (sim[:, 0] + sim[:, 1] + sim[:, 2]) / 3.0, sim[:, 3]
         xr = (1.0 + REFLECT) * xbar - REFLECT * worst
         fxr = _neg_density(geom, xr)
-        expand = fxr < fsim[:, 0]
-        accept = ~expand & (fxr < fsim[:, 2])
-        outside = ~expand & ~accept & (fxr < fsim[:, 3])
+        expand = fxr < fsim[0]
+        accept = ~expand & (fxr < fsim[2])
+        outside = ~expand & ~accept & (fxr < fsim[3])
         inside = ~(expand | accept | outside)
         # where the reflection alone does not decide, one more trial point
         # (1 + c) xbar - c worst: expansion, outside or inside contraction
         c = np.where(expand, REFLECT * EXPAND, np.where(outside, CONTRACT * REFLECT, -CONTRACT))
-        trial = (1.0 + c[:, None]) * xbar - c[:, None] * worst
+        trial = (1.0 + c) * xbar - c * worst
         f_trial = _neg_density(geom, trial)
         take_trial = (
             (expand & (f_trial < fxr))
             | (outside & (f_trial <= fxr))
-            | (inside & (f_trial < fsim[:, 3]))
+            | (inside & (f_trial < fsim[3]))
         )
         keep = take_trial | accept | expand
-        sim[keep, 3] = np.where(take_trial[:, None], trial, xr)[keep]
-        fsim[keep, 3] = np.where(take_trial, f_trial, fxr)[keep]
-        anchor = sim[~keep, :1]
-        sim[~keep, 1:] = anchor + SHRINK * (sim[~keep, 1:] - anchor)
-        fsim[~keep, 1:] = _neg_density(RhoGeometry(*table[:, own[~keep]]), sim[~keep, 1:])
-        shrinks[lanes[~keep]] += 1
+        sim[:, 3, keep] = np.where(take_trial, trial, xr)[:, keep]
+        fsim[3, keep] = np.where(take_trial, f_trial, fxr)[keep]
+        if not keep.all():
+            shrink = ~keep
+            anchor = sim[:, :1, shrink]
+            sim[:, 1:, shrink] = anchor + SHRINK * (sim[:, 1:, shrink] - anchor)
+            fsim[1:, shrink] = _neg_density(RhoGeometry(*cols[:, shrink]), sim[:, 1:, shrink])
+            shrinks[lanes[shrink]] += 1
 
     # a start evaluates its 4 vertices, an update 2 points, a shrink 3 more
     evaluations = 4 + 2 * steps + 3 * shrinks

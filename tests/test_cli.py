@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kissbound import SearchConfig, parse_certificate, sweep_rho
 from kissbound import certifier as certifier_module
@@ -627,3 +631,72 @@ def test_parser_defaults_are_the_library_defaults():
     assert (cert.delta, cert.fp_slack) == (0.0005, DEFAULT_FP_SLACK)
     graph = parser.parse_args(["graph", "packing.json"])
     assert graph.tolerance == DEFAULT_TOLERANCE
+
+
+def exit_code_and_output(argv):
+    """main(argv) in this process: its exit code (argparse's SystemExit
+    included), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_ending(argv):
+    # an uncaught exception fails the test by itself; exit 1 is for a failed
+    # certification only; a NaN may show on stderr only where the arguments
+    # held one and an error message echoes them
+    code, out, err = exit_code_and_output(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "nan" not in out.lower(), (argv, out)
+    if not any("nan" in arg.lower() for arg in argv):
+        assert "nan" not in err.lower(), (argv, err)
+
+
+ODD_FLOATS = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e308", "-1"]
+
+
+def mostly(valid, odd=ODD_FLOATS):
+    """One of the valid values about nine times in ten, else an odd one."""
+    return st.sampled_from(valid * (9 * len(odd) // len(valid)) + odd)
+
+
+@st.composite
+def optimize_argv(draw):
+    lo = draw(mostly([1.0000001, 1.3, 1.755, 2.9999999], [1.0, 3.0]))
+    # short ranges: at most three ratios unless the step is odd
+    short = [repr(lo), repr(lo + 0.004), repr(lo + 0.01)]
+    hi = draw(mostly(short, [repr(lo - 0.01), *ODD_FLOATS]))
+    argv = ["optimize", "--rho-lo", repr(lo), "--rho-hi", hi]
+    argv += ["--step", draw(mostly(["0.005", "0.01", "1"]))]
+    argv += ["--grid-step", draw(mostly(["0.3", "0.5", "2"]))]
+    argv += ["--tol", draw(mostly(["1e-10", "1e-3", "0.5"]))]
+    argv += ["--workers", draw(mostly(["1", "2"], ["0", "-1", "x"]))]
+    if draw(st.booleans()):
+        argv += ["--prune", draw(mostly(["14", "13.9"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "csv"]))]
+
+
+@st.composite
+def highdim_argv(draw):
+    argv = ["highdim", "--d", draw(mostly(["3", "4", "8", "64"], ["2", "65", "3.5", "x"]))]
+    if draw(st.booleans()):
+        argv += ["--rho", draw(mostly(["1.0000001", "1.755", "2.9999999"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "csv"]))]
+
+
+class TestExitCodes:
+    """Every input ends in exit 0-4, never in a traceback or a NaN."""
+
+    @given(optimize_argv())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_optimize(self, argv):
+        assert_documented_ending(argv)
+
+    @given(highdim_argv())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_highdim(self, argv):
+        assert_documented_ending(argv)

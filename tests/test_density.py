@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import os
 import subprocess
@@ -22,7 +23,7 @@ from kissbound import (
     sweep_to_csv,
 )
 from kissbound._kernels import density_vec
-from kissbound.density import SWEEP_CSV_HEADER, _neg_density, _wedge_grid
+from kissbound.density import SWEEP_CSV_HEADER, _neg_density, _sort3, _wedge_grid
 
 import mp_oracle
 
@@ -191,11 +192,25 @@ class TestMaxDensity:
             ("tol", -1e-10),
             ("tol", math.inf),
             ("max_iterations", 0),
+            ("max_iterations", -1),
+            # with tol 0 a lane may never converge, so an uncapped loop never ends
+            ("max_iterations", math.inf),
+            ("max_iterations", math.nan),
+            ("max_iterations", 2.5),
+            ("max_iterations", 2000.0),
+            ("max_iterations", True),
+            ("max_iterations", "2000"),
         ],
     )
     def test_config_rejects_invalid_settings(self, field, value):
         with pytest.raises(DomainError):
             SearchConfig(**{field: value})
+
+    def test_config_accepts_numpy_integer_iterations(self):
+        g = rho_geometry(1.755)
+        cfg = SearchConfig(max_iterations=np.int64(5))
+        reference = max_density(g, SearchConfig(max_iterations=5), [(0.3,) * 3])
+        assert max_density(g, cfg, [(0.3,) * 3]) == reference
 
     def test_grid_robustness(self):
         g = rho_geometry(1.755)
@@ -406,6 +421,144 @@ class TestPruning:
         for crossing in (lo, hi):
             assert pruning_objective(crossing - 1e-4 if crossing == lo else crossing + 1e-4) >= 14.0
             assert pruning_objective(crossing + 1e-4 if crossing == lo else crossing - 1e-4) < 14.0
+
+
+# max_density at grid step 0.15 as the search gave it on lane-major (S, 4, 3)
+# simplices, before its iterations were made cheaper: (case, max_density,
+# argmax, objective, iterations, evaluations, failed_starts), floats as hex
+PINNED_SEARCHES = [
+    (
+        "rho 1.3",
+        "0x1.ebd47788267bcp-1",
+        ("0x1.d3f46a79da6afp-5", "0x1.62e5dafbd9f3cp-1", "0x1.62e5dafbe18bcp-1"),
+        "0x1.396bc9a99603cp+4",
+        568, 32685, 0,
+    ),
+    (
+        "rho 1.755",
+        "0x1.dcc4e60d99695p-1",
+        ("0x1.0d665e3becc04p-2", "0x1.0d665f032b70ep-2", "0x1.edd74aba492b7p-1"),
+        "0x1.bd14b5ac29695p+3",
+        679, 51216, 0,
+    ),
+    (
+        "rho 2.5",
+        "0x1.ceef1c19dbd31p-1",
+        ("0x1.013a430d970bfp-1", "0x1.013a431473d40p-1", "0x1.28c68a40a5e63p+0"),
+        "0x1.81c742158c854p+4",
+        600, 47844, 4,
+    ),
+    (
+        "infeasible start",
+        "0x1.dcc4e60d99695p-1",
+        ("0x1.0d665e3becc04p-2", "0x1.0d665f032b70ep-2", "0x1.edd74aba492b7p-1"),
+        "0x1.bd14b5ac29695p+3",
+        679, 51220, 1,
+    ),
+]
+# sweep_rho(1.745, 1.76, 0.005) at grid step 0.15 with max_iterations 400,
+# where every ratio has lanes stopped by the cap, pinned the same way
+PINNED_CAPPED_SWEEP = [
+    (
+        "capped rho 1.745",
+        "0x1.dd008d9359ea7p-1",
+        ("0x1.098630c2def5ap-2", "0x1.098631435fdd7p-2", "0x1.ebcdc29091464p-1"),
+        "0x1.bd20feffb159ap+3",
+        399, 50606, 0,
+    ),
+    (
+        "capped rho 1.75",
+        "0x1.dce2a6e40ee54p-1",
+        ("0x1.0b76acba639a5p-2", "0x1.0b76ad756c9d6p-2", "0x1.ecd3739dcf613p-1"),
+        "0x1.bd17cef6fcd60p+3",
+        399, 49239, 0,
+    ),
+    (
+        "capped rho 1.755",
+        "0x1.dcc4e60d99693p-1",
+        ("0x1.0d665f7ff27e6p-2", "0x1.0d665fdf8eea9p-2", "0x1.edd74aba49298p-1"),
+        "0x1.bd14b5ac29694p+3",
+        399, 48400, 0,
+    ),
+    (
+        "capped rho 1.76",
+        "0x1.dca74a826016ap-1",
+        ("0x1.0f5542f7e641ep-2", "0x1.0f5543947292ap-2", "0x1.eed94d5b23d80p-1"),
+        "0x1.bd17a67fd3dbbp+3",
+        399, 48488, 0,
+    ),
+]
+
+
+def pinned_form(case, result):
+    """A SweepResult in the form of PINNED_SEARCHES rows."""
+    return (
+        case,
+        result.max_density.hex(),
+        tuple(v.hex() for v in result.argmax),
+        result.objective.hex(),
+        result.iterations,
+        result.evaluations,
+        result.failed_starts,
+    )
+
+
+class TestSearchBits:
+    """The lockstep loop gives every bit and count it gave before it was
+    made leaner; equality only, never a tolerance."""
+
+    @pytest.mark.parametrize("pinned", PINNED_SEARCHES, ids=[p[0] for p in PINNED_SEARCHES])
+    def test_max_density_keeps_its_bits(self, pinned):
+        case = pinned[0]
+        g = rho_geometry(1.755 if case == "infeasible start" else float(case.split()[1]))
+        cfg = SearchConfig(grid_step=0.15)
+        starts = None
+        if case == "infeasible start":
+            outside = (g.alpha_min, g.alpha_zero, g.alpha_max + 0.1)
+            starts = _wedge_grid(g, cfg.grid_step) + [outside]
+        assert pinned_form(case, max_density(g, cfg, starts)) == pinned
+
+    def test_capped_sweep_keeps_its_bits(self):
+        cfg = SearchConfig(grid_step=0.15, max_iterations=400)
+        results = sweep_rho(1.745, 1.76, 0.005, cfg, workers=1)
+        got = [pinned_form(f"capped rho {r.rho:.12g}", r) for r in results]
+        assert got == PINNED_CAPPED_SWEEP
+
+    def test_coordinate_sort_gives_np_sort_bits(self, rng):
+        g = rho_geometry(1.755)
+        values = [g.alpha_min, g.alpha_zero, g.alpha_max, 0.3, -0.5, 2.0, math.inf, -math.inf]
+        triples = list(itertools.product(values, repeat=3))  # permutations and ties
+        triples += list(rng.uniform(-1.0, 2.0, size=(200, 3)))
+        points = np.array(triples).T
+        expected = np.sort(points, axis=0)
+        sorted_rows = np.array(_sort3(*points))
+        assert sorted_rows.tobytes() == expected.tobytes()
+        # a scalar point, and the shrink's (3, 3, N) coordinate-first shape
+        for point in np.array(triples[:40]):
+            assert np.array(_sort3(*point)).tobytes() == np.sort(point).tobytes()
+        shrink = rng.uniform(0.0, 1.0, size=(3, 3, 50))
+        assert np.array(_sort3(*shrink)).tobytes() == np.sort(shrink, axis=0).tobytes()
+
+    def test_objective_matches_np_sort_objective(self, rng):
+        # the objective of the sort it replaced, NaN and signed zeros
+        # included: those points sort differently but are outside I_rho^3
+        def reference(geom, points):
+            coords = np.moveaxis(points, 0, -1)
+            inside = ((points >= geom.alpha_min) & (points <= geom.alpha_max)).all(axis=0)
+            value = -density_vec(geom, *np.moveaxis(np.sort(coords, axis=-1), -1, 0))
+            return np.where(inside & ~np.isnan(value), value, np.inf)
+
+        g = rho_geometry(1.755)
+        values = [g.alpha_min, g.alpha_max, 0.3, 0.0, -0.0, math.nan, math.inf, 2.0]
+        points = np.array(list(itertools.product(values, repeat=3))).T
+        # the search never evaluates such points; here their sides are inf - inf
+        with np.errstate(invalid="ignore"):
+            assert _neg_density(g, points).tobytes() == reference(g, points).tobytes()
+            for point in points.T[::17]:
+                assert _neg_density(g, point).tobytes() == reference(g, point).tobytes()
+        inside = rng.uniform(g.alpha_min, g.alpha_max, size=(3, 4, 100))
+        assert _neg_density(g, inside).tobytes() == reference(g, inside).tobytes()
+        assert np.isnan(_sort3(math.nan, 0.3, 0.4)[2]) and np.isnan(_sort3(0.3, 0.4, math.nan)[2])
 
 
 class TestCsv:
