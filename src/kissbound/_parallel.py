@@ -7,6 +7,8 @@ import contextlib
 import multiprocessing
 import os
 
+import numpy as np
+
 from .errors import DomainError
 
 _FUNC = None  # the mapped function, set in each pool worker by the initializer
@@ -24,6 +26,8 @@ def resolve_workers(workers: int | None) -> int:
             workers = 0
         if workers < 1:
             raise DomainError(f"KISSBOUND_THREADS must be a positive integer, got {env!r}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise DomainError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise DomainError(f"worker count must be positive, got {workers!r}")
     return workers

@@ -106,10 +106,9 @@ def check_rho(rho: float) -> None:
 
 
 def _check_pair_args(rho: float, r1: float, r2: float) -> None:
-    if not (rho > 1.0) or not math.isfinite(rho):
-        raise DomainError(f"inflation ratio must exceed 1, got {rho!r}")
-    if not (np.all(r1 > 0.0) and np.all(r2 > 0.0)):
-        raise DomainError(f"ball radii must be positive, got r1={r1!r}, r2={r2!r}")
+    check_rho(rho)
+    if not (np.all((0.0 < r1) & (r1 < math.inf)) and np.all((0.0 < r2) & (r2 < math.inf))):
+        raise DomainError(f"ball radii must be positive and finite, got r1={r1!r}, r2={r2!r}")
 
 
 def cap_radius_cos(rho: float, r1: float, r2: float) -> float:
@@ -126,7 +125,13 @@ def cap_radius_cos(rho: float, r1: float, r2: float) -> float:
     array of the same values, elementwise; scalars give a float.
     """
     _check_pair_args(rho, r1, r2)
-    value = np.minimum(((rho * rho + 1.0) * r1 + 2.0 * r2) / (2.0 * rho * (r1 + r2)), 1.0)
+    # an overflowing numerator means a cosine above 1, which is clamped; an
+    # overflowing denominator would give NaN or a false 0
+    with np.errstate(over="ignore"):
+        scale = 2.0 * rho * (r1 + r2)
+        if not np.all(scale < math.inf):
+            raise DomainError(f"ball radii overflow 2 rho (r1 + r2), got r1={r1!r}, r2={r2!r}")
+        value = np.minimum(((rho * rho + 1.0) * r1 + 2.0 * r2) / scale, 1.0)
     return value if value.ndim else float(value)
 
 
@@ -171,7 +176,6 @@ def pair_sum(rho: float, r1: float, r2: float) -> float:
     Equals pair_sum_value(rho) exactly when both intersections are
     non-empty and exceeds it when one cap is empty.
     """
-    check_rho(rho)
     return coverage_fraction(rho, r1, r2) + coverage_fraction(rho, r2, r1)
 
 

@@ -354,10 +354,12 @@ class _Checkpoint:
     k: int
 
 
-def _write_checkpoint(path: str, state: _Checkpoint) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write text to `path.tmp`, then rename it over path: path holds
+    either its previous content or all of text, never a part of it."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(_emit(state))
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -436,7 +438,7 @@ def certify(
             state = replace(state, next_slab=slab + 1)
             done = scan.boxes_before(slab + 1)
             if checkpoint_path and done - written >= CHECKPOINT_EVERY:
-                _write_checkpoint(checkpoint_path, state)
+                _write_text(checkpoint_path, _emit(state))
                 written = done
             if on_progress is not None:
                 on_progress(done, total)

@@ -9,12 +9,15 @@ Commands:
 Exit codes: 0 success or certified, 1 certification failed, 2 usage,
 3 I/O or packing input error, 4 numeric-domain error.
 
-Every run reports its metadata (command line, configuration echo,
-version, wall time, output checksum): certify in a JSON sidecar beside
-the certificate, the other commands as one JSON line on stderr.  Metadata
-never enters an artifact, so artifacts are byte-identical across runs.
-The only environment variable consulted is KISSBOUND_THREADS for the
-default worker count of optimize and certify; an invalid value exits 2.
+`main` owns a run's side effects: it resolves the worker count, times
+the command and reports its metadata (command line, configuration echo,
+version, wall time, output checksum) in a JSON sidecar beside --output
+when the command has one (certify), else as one JSON line on stderr.  The
+certificate and its sidecar are written to <path>.tmp and renamed over
+<path>, so a path holds either its previous content or the whole new one.
+Metadata never enters an artifact, so artifacts are byte-identical across
+runs.  The only environment variable consulted is KISSBOUND_THREADS for
+the default worker count of optimize and certify; an invalid value exits 2.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import time
 
 from . import __version__
 from ._parallel import resolve_workers
-from .certifier import DEFAULT_FP_SLACK, _check_writable, certify, emit_certificate
+from .certifier import (
+    DEFAULT_FP_SLACK, _check_writable, _write_text, certify, emit_certificate
+)
 from .density import SearchConfig, sweep_rho, sweep_to_csv
 from .errors import DomainError, KissboundError, PackingError
 from .highdim import MAX_DIMENSION, MIN_DIMENSION, a_of_d, k_bound_highdim
@@ -63,34 +68,27 @@ class _UsageError(Exception):
 DEFAULT_DELTA = 0.0005
 
 
-def _metadata(args: argparse.Namespace, started: float, outputs: dict[str, str]) -> dict:
-    return {
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _report(args: argparse.Namespace, started: float, extras: dict) -> None:
+    """Write a run's metadata: beside --output as `<output>.meta.json` when
+    the command has one, else as one JSON line on stderr.  `extras` holds
+    the command's own keys, "outputs" first."""
+    metadata = {
         "command_line": sys.argv,
         "configuration": {
             key: value for key, value in sorted(vars(args).items()) if key != "func"
         },
         "version": __version__,
         "wall_time_s": round(time.time() - started, 3),
-        "outputs": outputs,
+        **extras,
     }
-
-
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _write_sidecar(path: str, metadata: dict) -> None:
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(metadata, fh, indent=2)
-        fh.write("\n")
-
-
-def _resolve_worker_arg(args: argparse.Namespace) -> None:
-    """Resolve --workers in place, so the sidecar records the count used."""
-    try:
-        args.workers = resolve_workers(args.workers)
-    except DomainError as exc:
-        raise _UsageError(str(exc)) from exc
+    if "output" in vars(args):
+        _write_text(args.output + ".meta.json", json.dumps(metadata, indent=2) + "\n")
+    else:
+        print(json.dumps(metadata), file=sys.stderr)
 
 
 def _round_up(value: float, decimals: int) -> float:
@@ -98,8 +96,7 @@ def _round_up(value: float, decimals: int) -> float:
     return math.ceil(value * factor) / factor
 
 
-def cmd_highdim(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_highdim(args: argparse.Namespace) -> tuple[int, dict]:
     if args.rho is None:
         result = k_bound_highdim(args.d, math.sqrt(3.0))
         bound = a_of_d(args.d)
@@ -113,15 +110,10 @@ def cmd_highdim(args: argparse.Namespace) -> int:
     else:
         label = f"a({args.d})" if args.rho is None else f"2/f_{args.d}({args.rho:.12g})"
         print(f"{label} = {bound:.9f}  (k_{args.d} < {display})")
-    print(
-        json.dumps(_metadata(args, started, {"stdout": _sha256(f"{bound:.17g}")})),
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return EXIT_OK, {"outputs": {"stdout": _sha256(f"{bound:.17g}")}}
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     if not (1.0 < args.rho_lo <= args.rho_hi < 3.0):
         raise _UsageError(
             f"sweep interval must satisfy 1 < lo <= hi < 3, "
@@ -129,7 +121,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         )
     if not 0.0 < args.step < math.inf:
         raise _UsageError(f"step must be positive and finite, got {args.step:.12g}")
-    _resolve_worker_arg(args)
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
     results = sweep_rho(
         args.rho_lo,
@@ -149,23 +140,21 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             f"(argmax caps: {best.argmax[0]:.9g} {best.argmax[1]:.9g} "
             f"{best.argmax[2]:.9g})"
         )
-    metadata = _metadata(args, started, {"stdout": _sha256(csv_text)})
-    metadata["failed_starts"] = sum(r.failed_starts for r in results)
-    # per ratio in CSV row order, 0 for pruned rows: the most simplex
-    # updates any start made, and the points the search evaluated
-    metadata["iterations"] = [r.iterations for r in results]
-    metadata["evaluations"] = [r.evaluations for r in results]
-    print(json.dumps(metadata), file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, {
+        "outputs": {"stdout": _sha256(csv_text)},
+        "failed_starts": sum(r.failed_starts for r in results),
+        # per ratio in CSV row order, 0 for pruned rows: the most simplex
+        # updates any start made, and the points the search evaluated
+        "iterations": [r.iterations for r in results],
+        "evaluations": [r.evaluations for r in results],
+    }
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    started = time.time()
-    _resolve_worker_arg(args)
-    last = [0.0]
+def cmd_certify(args: argparse.Namespace) -> tuple[int, dict]:
+    last = [-math.inf]
 
     def progress(done: int, total: int) -> None:
-        now = time.time()
+        now = time.monotonic()
         if now - last[0] >= 10.0:
             last[0] = now
             print(
@@ -184,9 +173,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         on_progress=progress if args.progress else None,
     )
     text = emit_certificate(cert)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _write_sidecar(args.output, _metadata(args, started, {args.output: _sha256(text)}))
+    _write_text(args.output, text)
+    params = f"(rho={cert.rho:.12g}, delta={cert.delta:.12g}, boxes={cert.boxes_checked})"
     if args.format == "csv":
         print("passed,certified_bound,rho,delta,boxes_checked")
         print(
@@ -194,27 +182,22 @@ def cmd_certify(args: argparse.Namespace) -> int:
             f"{cert.rho:.12g},{cert.delta:.12g},{cert.boxes_checked}"
         )
     elif cert.passed:
-        print(
-            f"CERTIFIED k3 < {cert.certified_bound:.17g} "
-            f"(rho={cert.rho:.12g}, delta={cert.delta:.12g}, boxes={cert.boxes_checked})"
-        )
+        print(f"CERTIFIED k3 < {cert.certified_bound:.17g} {params}")
     else:
         print(
             f"FAILED certified bound {cert.certified_bound:.17g} >= target "
-            f"{cert.target:.12g} (rho={cert.rho:.12g}, delta={cert.delta:.12g}, "
-            f"boxes={cert.boxes_checked})"
+            f"{cert.target:.12g} {params}"
         )
-    return EXIT_OK if cert.passed else EXIT_CERT_FAILED
+    code = EXIT_OK if cert.passed else EXIT_CERT_FAILED
+    return code, {"outputs": {args.output: _sha256(text)}}
 
 
-def cmd_graph(args: argparse.Namespace) -> int:
-    started = time.time()
+def cmd_graph(args: argparse.Namespace) -> tuple[int, dict]:
     try:
         with open(args.input, encoding="utf-8") as fh:
             document = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot read {args.input}: {exc}") from exc
     packing = load_packing(document, tolerance=args.tolerance)
     graph = contact_graph(packing)
     summary = (
@@ -231,16 +214,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
                 f"edge_sum_ok: {'true' if audit.edge_sum_ok else 'false'}\n"
             )
         sys.stdout.write(csv_text)
-        outputs = {"stdout": _sha256(csv_text)}
-    else:
-        if args.format == "csv":
-            summary = "vertices,edges,average_degree\n" + (
-                f"{graph.vertex_count},{len(graph.edges)},{graph.average_degree:.12g}\n"
-            )
-        sys.stdout.write(summary)
-        outputs = {"stdout": _sha256(f"{graph.average_degree:.17g}")}
-    print(json.dumps(_metadata(args, started, outputs)), file=sys.stderr)
-    return EXIT_OK
+        return EXIT_OK, {"outputs": {"stdout": _sha256(csv_text)}}
+    if args.format == "csv":
+        summary = "vertices,edges,average_degree\n" + (
+            f"{graph.vertex_count},{len(graph.edges)},{graph.average_degree:.12g}\n"
+        )
+    sys.stdout.write(summary)
+    return EXIT_OK, {"outputs": {"stdout": _sha256(f"{graph.average_degree:.17g}")}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,8 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        if "workers" in vars(args):  # optimize and certify
+            try:
+                # resolved in place, so the metadata records the count used
+                args.workers = resolve_workers(args.workers)
+            except DomainError as exc:
+                raise _UsageError(str(exc)) from exc
+        code, extras = args.func(args)
+        _report(args, started, extras)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -271,8 +271,8 @@ def fcc_fragment(n: int) -> Packing:
     norm at most 2n, scaled by sqrt(2) so that the nearest-neighbor
     distance is exactly 2.  n = 1 gives the 13-ball kissing configuration.
     """
-    if n < 1:
-        raise DomainError(f"shell count must be at least 1, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"shell count must be an integer of at least 1, got {n!r}")
     limit = 2 * n
     reach = int(math.isqrt(limit))
     scale = math.sqrt(2.0)

@@ -86,7 +86,31 @@ class TestCapRadiusCos:
     def test_clamped_to_one(self):
         assert cap_radius_cos(2.5, 1.0, 0.01) == 1.0
 
-    @pytest.mark.parametrize("args", [(1.0, 1.0, 1.0), (0.9, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, 1.0, -2.0)])
+    def test_overflowing_numerator_is_clamped(self):
+        # (rho^2 + 1) r1 overflows but 2 rho (r1 + r2) does not: the cosine
+        # is above 1, scalar or array, without an overflow warning
+        assert cap_radius_cos(2.9, 2.5e307, 1.0) == 1.0
+        values = cap_radius_cos(2.9, np.array([2.5e307, 1.0]), np.array([1.0, 3.0e307]))
+        assert values[0] == 1.0 and values[1] == pytest.approx(1.0 / 2.9)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 1.0, 1.0),
+            (0.9, 1.0, 1.0),
+            (2.0, 0.0, 1.0),
+            (2.0, 1.0, -2.0),
+            # rho in (1, 3), as check_rho and pair_sum take it
+            (3.0, 1.0, 1.0),
+            (3.5, 1.0, 1.0),
+            # radii that are not finite, or that overflow 2 rho (r1 + r2):
+            # the cosine came out NaN, or 0 where it is 0.3448...
+            (1.5, math.inf, 1.0),
+            (1.5, 1.0, math.inf),
+            (1.5, 1e308, 1e308),
+            (2.9, 1.0, 3.2e307),
+        ],
+    )
     def test_domain(self, args):
         with pytest.raises(DomainError):
             cap_radius_cos(*args)
@@ -130,6 +154,7 @@ class TestCoverageFraction:
         assert type(coverage_fraction(2.0, 1.0, 0.5)) is float
         assert type(cap_radius_cos(2.0, 1.0, 0.5)) is float
         bad = [(1.755, 0.0, 1.0), (1.755, 1.0, -1.0), (1.755, math.nan, 1.0), (1.0, 1.0, 1.0)]
+        bad += [(1.5, math.inf, 1.0), (1.5, 1.0, math.inf), (1.5, 1e308, 1e308), (3.5, 1.0, 1.0)]
         for args in bad + [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0)]:
             with pytest.raises(DomainError):
                 coverage_fraction(*args)

@@ -527,7 +527,7 @@ class TestCertify:
             with pytest.raises(DomainError, match="KISSBOUND_THREADS"):
                 certify(RHO, 0.01, 14.5, workers=None)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, True])
     def test_invalid_worker_count_rejected_before_the_scan(self, monkeypatch, workers):
         def no_scan(*args):
             raise AssertionError("grid tables built for an invalid worker count")

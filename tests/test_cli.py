@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kissbound import SearchConfig, parse_certificate, sweep_rho
+from kissbound import SearchConfig, fcc_fragment, parse_certificate, sweep_rho
 from kissbound import certifier as certifier_module
 from kissbound.certifier import DEFAULT_FP_SLACK
 from kissbound.cli import build_parser, main
@@ -20,6 +22,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the metadata record's keys, in order, and each command's own ones after
+REPORT_KEYS = ["command_line", "configuration", "version", "wall_time_s", "outputs"]
+OPTIMIZE_KEYS = ["failed_starts", "iterations", "evaluations"]
+
+
+def stderr_metadata(err):
+    return json.loads(err.strip().split("\n")[-1])
+
+
+def sidecar(path):
+    return json.loads(Path(f"{path}.meta.json").read_text(encoding="utf-8"))
 
 
 class TestHighdim:
@@ -80,6 +95,13 @@ class TestHighdim:
         assert meta["version"]
         assert meta["configuration"]["d"] == 3
         assert "wall_time_s" in meta
+
+    def test_metadata_keys_in_order(self, capsys):
+        _, _, err = run(capsys, "highdim", "--d", "4", "--rho", "1.755")
+        meta = stderr_metadata(err)
+        assert list(meta) == REPORT_KEYS
+        assert meta["configuration"] == {"command": "highdim", "d": 4, "format": "text", "rho": 1.755}
+        assert list(meta["outputs"]) == ["stdout"]
 
 
 class TestOptimize:
@@ -159,6 +181,21 @@ class TestOptimize:
         assert code == 0
         meta = json.loads(err.strip().split("\n")[-1])
         assert meta["failed_starts"] == 0
+
+    def test_metadata_keys_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("KISSBOUND_THREADS", "1")
+        argv = ["optimize", "--rho-lo", "1.755", "--rho-hi", "1.755", "--step", "0.01"]
+        code, out, err = run(capsys, *argv, "--grid-step", "0.15")
+        assert code == 0
+        meta = stderr_metadata(err)
+        assert list(meta) == REPORT_KEYS + OPTIMIZE_KEYS
+        # the worker count used, not the option's None
+        assert meta["configuration"] == {
+            "command": "optimize", "format": "text", "grid_step": 0.15, "prune": None,
+            "rho_hi": 1.755, "rho_lo": 1.755, "step": 0.01, "tol": SearchConfig().tol,
+            "workers": 1,
+        }
+        assert list(meta["outputs"]) == ["stdout"]
 
     def test_search_counts_in_metadata(self, capsys):
         argv = ["optimize", "--rho-lo", "1.5", "--rho-hi", "1.65", "--step", "0.05"]
@@ -284,6 +321,52 @@ class TestCertify:
         meta = json.loads(Path(out_path + ".meta.json").read_text(encoding="utf-8"))
         assert meta["outputs"][out_path]
         assert meta["configuration"]["delta"] == 0.004
+
+    def test_sidecar_keys_in_order(self, capsys, tmp_path):
+        out_path = str(tmp_path / "cert.txt")
+        code, _, err = run(
+            capsys,
+            "certify",
+            "--rho", "1.755",
+            "--delta", "0.01",
+            "--target", "14.9",
+            "--workers", "2",
+            "--output", out_path,
+        )
+        assert code == 0
+        assert err == ""
+        meta = sidecar(out_path)
+        assert list(meta) == REPORT_KEYS
+        assert meta["configuration"] == {
+            "checkpoint": None, "command": "certify", "delta": 0.01,
+            "format": "text", "fp_slack": DEFAULT_FP_SLACK, "output": out_path,
+            "progress": False, "rho": 1.755, "target": 14.9, "workers": 2,
+        }
+        assert list(meta["outputs"]) == [out_path]
+        assert Path(out_path + ".meta.json").read_text(encoding="utf-8").endswith("}\n")
+
+    def test_second_run_replaces_the_whole_certificate(self, capsys, tmp_path):
+        # the new certificate is renamed over the old one, not written into it
+        out_path = tmp_path / "cert.txt"
+        texts, inodes = [], []
+        for target in ("14.9", "13.9"):
+            code, _, _ = run(
+                capsys,
+                "certify",
+                "--rho", "1.755",
+                "--delta", "0.01",
+                "--target", target,
+                "--workers", "1",
+                "--output", str(out_path),
+            )
+            texts.append(out_path.read_text(encoding="utf-8"))
+            inodes.append(out_path.stat().st_ino)
+        assert code == 1
+        assert inodes[0] != inodes[1]
+        assert parse_certificate(texts[0]).passed and not parse_certificate(texts[1]).passed
+        assert texts[1].startswith("rho: ") and texts[1].endswith("passed: false\n")
+        assert sidecar(out_path)["configuration"]["target"] == 13.9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.txt", "cert.txt.meta.json"]
 
     def test_fail_exit_one(self, capsys, tmp_path):
         out_path = str(tmp_path / "cert.txt")
@@ -621,6 +704,21 @@ class TestGraph:
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, "graph", "/nonexistent/path.json")
         assert code == 3
+        assert err.startswith("error: cannot read /nonexistent/path.json: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rho", [None, "1.755"])
+    def test_metadata_keys_in_order(self, capsys, rho):
+        argv = ["graph", data_path("fcc_n2.json")] + ([] if rho is None else ["--rho", rho])
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        meta = stderr_metadata(err)
+        assert list(meta) == REPORT_KEYS
+        assert meta["configuration"] == {
+            "command": "graph", "format": "text", "input": data_path("fcc_n2.json"),
+            "rho": None if rho is None else 1.755, "tolerance": DEFAULT_TOLERANCE,
+        }
+        assert list(meta["outputs"]) == ["stdout"]
 
 
 def test_parser_defaults_are_the_library_defaults():
@@ -645,12 +743,17 @@ def exit_code_and_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_documented_ending(argv):
+def assert_documented_ending(argv, output=None):
     # an uncaught exception fails the test by itself; exit 1 is for a failed
-    # certification only; a NaN may show on stderr only where the arguments
-    # held one and an error message echoes them
+    # certification only, with its certificate at `output`; a NaN may show on
+    # stderr only where the arguments held one and an error message echoes
+    # them
     code, out, err = exit_code_and_output(argv)
-    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 1 and output is not None:
+        assert not parse_certificate(Path(output).read_text(encoding="utf-8")).passed
+    else:
+        assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
     assert "nan" not in out.lower(), (argv, out)
     if not any("nan" in arg.lower() for arg in argv):
         assert "nan" not in err.lower(), (argv, err)
@@ -688,6 +791,54 @@ def highdim_argv(draw):
     return argv + ["--format", draw(st.sampled_from(["text", "csv"]))]
 
 
+@st.composite
+def certify_argv(draw):
+    """certify arguments, with --output (and --checkpoint) under the
+    directory name "{dir}".  Valid deltas are coarse; every odd one is
+    rejected before a table is built."""
+    argv = ["certify", "--rho", draw(mostly(["1.3", "1.755", "2.5"]))]
+    argv += ["--delta", draw(mostly(["0.01", "0.02", "0.05"], [*ODD_FLOATS, "1e-300"]))]
+    argv += ["--target", draw(mostly(["14", "30", "200"]))]
+    if draw(st.booleans()):
+        argv += ["--fp-slack", draw(mostly(["1e-9", "0"]))]
+    argv += ["--workers", draw(mostly(["1", "2"], ["0", "-1", "x"]))]
+    argv += ["--output", os.path.join("{dir}", "cert.txt")]
+    if draw(st.booleans()):
+        argv += ["--checkpoint", os.path.join("{dir}", "scan.ckpt")]
+    return argv + ["--format", draw(st.sampled_from(["text", "csv"]))]
+
+
+def _ball_list(text):
+    return '{"balls": [%s, {"center": [0, 0, 0], "radius": 1}]}' % text
+
+
+GRAPH_DOCUMENTS = {
+    "fcc.json": json.dumps(
+        {"balls": [{"center": b.center, "radius": b.radius} for b in fcc_fragment(1).balls]}
+    ),
+    "nan.json": _ball_list('{"center": [NaN, 0, 0], "radius": 1}'),
+    "infinity.json": _ball_list('{"center": [2, 0, 0], "radius": Infinity}'),
+    "huge.json": _ball_list('{"center": [1e400, 0, 0], "radius": 1}'),
+    "huge_int.json": _ball_list('{"center": [%s, 0, 0], "radius": 1}' % ("9" * 400)),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
+    "overlapping.json": _ball_list('{"center": [1.9, 0, 0], "radius": 1}'),
+    "list.json": "[1, 2]",
+}
+
+
+@st.composite
+def graph_argv(draw):
+    # the valid document about half the time
+    bad = sorted(set(GRAPH_DOCUMENTS) - {"fcc.json"})
+    name = draw(st.sampled_from(["fcc.json"] * len(bad) + bad))
+    argv = ["graph", os.path.join("{dir}", name)]
+    if draw(st.booleans()):
+        argv += ["--rho", draw(mostly(["1.3", "1.755", "2.5"]))]
+    if draw(st.booleans()):
+        argv += ["--tolerance", draw(mostly(["1e-9", "1e-6"], [*ODD_FLOATS, "1"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "csv"]))]
+
+
 class TestExitCodes:
     """Every input ends in exit 0-4, never in a traceback or a NaN."""
 
@@ -700,3 +851,18 @@ class TestExitCodes:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_highdim(self, argv):
         assert_documented_ending(argv)
+
+    @given(certify_argv())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_certify(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [arg.format(dir=tmp) for arg in argv]
+            assert_documented_ending(argv, output=os.path.join(tmp, "cert.txt"))
+
+    @given(graph_argv())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_graph(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, document in GRAPH_DOCUMENTS.items():
+                Path(tmp, name).write_text(document, encoding="utf-8")
+            assert_documented_ending([arg.format(dir=tmp) for arg in argv])

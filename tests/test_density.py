@@ -394,6 +394,11 @@ class TestSweep:
         with pytest.raises(DomainError, match="start points"):
             sweep_rho(1.75, 1.76, 0.01, cfg, workers=2)
 
+    @pytest.mark.parametrize("workers", [1.5, True])
+    def test_worker_count_must_be_an_integer(self, workers):
+        with pytest.raises(DomainError, match="worker count"):
+            sweep_rho(1.75, 1.76, 0.005, SearchConfig(grid_step=0.2), workers=workers)
+
     def test_start_limit_is_inclusive(self, monkeypatch):
         geom = rho_geometry(1.755)
         starts = len(_wedge_grid(geom, 0.1))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import betainc, beta as beta_fn
@@ -172,6 +173,21 @@ class TestAofD:
         assert abs(a_of_d(6) - 170.579) < 1e-3
         assert abs(a_of_d(8) - 788.645) < 1e-3
         assert abs(a_of_d(7) - 368.736) < 2e-3
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_matches_closed_form_at_40_digits(self, d):
+        # a(d) = 2 I_d(1) / I_d(1/4), Wallis-type integrals of sin^(d-2);
+        # a(7) = 368.7349393..., which acceptance 2 quotes as 368.736
+        with mp.workdps(40):
+            root3, pi = mp.sqrt(3), mp.pi
+            exact = {
+                3: 8 + 4 * root3,
+                4: 12 * pi / (2 * pi - 3 * root3),
+                5: 32 / (16 - 9 * root3),
+                6: 24 * pi / (4 * pi - 7 * root3),
+                7: 512 / (256 - 147 * root3),
+            }[d]
+            assert abs(mp.mpf(a_of_d(d)) / exact - 1) < 1e-14
 
     def test_strictly_increasing_in_d(self):
         values = [a_of_d(d) for d in range(3, 13)]

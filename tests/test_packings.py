@@ -488,6 +488,11 @@ class TestFccFragment:
         with pytest.raises(DomainError):
             fcc_fragment(0)
 
+    @pytest.mark.parametrize("shells", [1.5, True])
+    def test_shell_count_must_be_an_integer(self, shells):
+        with pytest.raises(DomainError, match="shell count"):
+            fcc_fragment(shells)
+
 
 class TestCoverageAudit:
     def test_two_tangent_unit_balls_edge_sum(self):
