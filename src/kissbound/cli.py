@@ -72,12 +72,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _report(args: argparse.Namespace, started: float, extras: dict) -> None:
+def _report(
+    command_line: list[str], args: argparse.Namespace, started: float, extras: dict
+) -> None:
     """Write a run's metadata: beside --output as `<output>.meta.json` when
     the command has one, else as one JSON line on stderr.  `extras` holds
     the command's own keys, "outputs" first."""
     metadata = {
-        "command_line": sys.argv,
+        "command_line": command_line,
         "configuration": {
             key: value for key, value in sorted(vars(args).items()) if key != "func"
         },
@@ -291,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
             except DomainError as exc:
                 raise _UsageError(str(exc)) from exc
         code, extras = args.func(args)
-        _report(args, started, extras)
+        # the program name, then the arguments parsed, not the host's
+        command_line = sys.argv if argv is None else [*sys.argv[:1], *argv]
+        _report(command_line, args, started, extras)
         return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,8 +11,11 @@ recorded in every report.  The contact edges are found once, while the
 packing is validated: one pair search on a multilevel cell grid, binned
 by radius class, measures every candidate pair for the overlap check and
 keeps the tangent ones, and the contact graph and the coverage audit read
-them from the Packing.  A space-filling packing gives about 30 candidates
-per ball; radii spread over L powers of two cost O(n L).
+them from the Packing.  A class is a run of the sorted radii, split at
+every power of two and wherever one radius exceeds the next smaller by
+more than 2^(1/4), so a lone large ball gets a grid of its own.  A
+space-filling packing gives about 30 candidates per ball; radii spread
+over L classes cost O(n L).
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -57,6 +60,8 @@ MAX_PAIR_BATCH = 8_192
 MAX_CELLS = 2**20
 # relative padding of a grid cell side against rounding (see _close_pairs)
 _CELL_PAD = 8.0 * np.finfo(np.float64).eps * MAX_CELLS
+# a ratio between consecutive sorted reaches above this starts a radius class
+_CLASS_GAP = 2.0**0.25
 # largest coordinate or radius magnitude: squared distances of such balls
 # stay far below the float64 overflow threshold; radii below its reciprocal
 # are rejected, because squared distances of such balls underflow
@@ -115,12 +120,18 @@ def packing_from_balls(
     Raises OverlapError naming the first offending pair (lexicographic)
     and its penetration depth.
     """
-    # from 1 up no distance is an overlap and every pair within reach an edge
-    if not 0.0 <= tolerance < 1.0:
-        raise DomainError(f"tolerance must lie in [0, 1), got {tolerance!r}")
     balls = tuple(balls)
     centers = np.array([b.center for b in balls], dtype=np.float64)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
+    return _packing(balls, centers, radii, tolerance)
+
+
+def _packing(
+    balls: tuple[Ball, ...], centers: np.ndarray, radii: np.ndarray, tolerance: float
+) -> Packing:
+    # from 1 up no distance is an overlap and every pair within reach an edge
+    if not 0.0 <= tolerance < 1.0:
+        raise DomainError(f"tolerance must lie in [0, 1), got {tolerance!r}")
     # NaN passes the magnitude test below and every comparison with it fails,
     # which left such a ball silently without edges
     if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
@@ -173,26 +184,50 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
     if not isinstance(raw_balls, list):
         raise PackingParseError("'balls' must be a list")
     balls = []
+    type_error = None
     for index, item in enumerate(raw_balls):
         if not isinstance(item, dict):
-            raise PackingParseError(f"ball {index} must be an object")
+            type_error = f"ball {index} must be an object"
+            break
         center = item.get("center")
         radius = item.get("radius")
         # every JSON number parses as a float; true and false are bools
         if not isinstance(center, list) or [type(v) for v in center] != [float] * 3:
-            raise PackingParseError(f"ball {index}: center must be [x, y, z]")
+            type_error = f"ball {index}: center must be [x, y, z]"
+            break
         if type(radius) is not float:
-            raise PackingParseError(f"ball {index}: radius must be a number")
-        if not all(math.isfinite(v) for v in (*center, radius)):
-            raise PackingParseError(f"ball {index}: coordinates must be finite")
-        if radius <= 0.0:
-            raise PackingParseError(f"ball {index}: radius must be positive")
+            type_error = f"ball {index}: radius must be a number"
+            break
         balls.append(Ball(center=tuple(center), radius=radius))
-    return packing_from_balls(balls, tolerance)
+    # the value checks of the balls before a type error come first
+    centers = np.array([b.center for b in balls], dtype=np.float64).reshape(-1, 3)
+    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(radii)
+    bad = np.flatnonzero(~finite | (radii <= 0.0))
+    if len(bad):
+        index = int(bad[0])
+        problem = "radius must be positive" if finite[index] else "coordinates must be finite"
+        raise PackingParseError(f"ball {index}: {problem}")
+    if type_error is not None:
+        raise PackingParseError(type_error)
+    return _packing(tuple(balls), centers, radii, tolerance)
 
 
 def _tangent_mask(dist: np.ndarray, radius_sum: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(dist - radius_sum) <= tol * radius_sum
+
+
+def _radius_classes(reach: np.ndarray) -> np.ndarray:
+    """Class 0, 1, ... of each reach: runs of the sorted reaches, split at
+    every power of two and at every ratio above _CLASS_GAP between
+    consecutive ones, so the class never falls as the reach grows."""
+    order = np.argsort(reach, kind="stable")
+    ranked = reach[order]
+    new = np.frexp(ranked[1:])[1] > np.frexp(ranked[:-1])[1]
+    new |= ranked[1:] > ranked[:-1] * _CLASS_GAP
+    level = np.empty(len(reach), dtype=np.intp)
+    level[order] = np.concatenate(([0], np.cumsum(new)))
+    return level
 
 
 def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
@@ -200,14 +235,18 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
     neighbours on a multilevel grid (Ogarko and Luding, Comput. Phys.
     Commun. 183, 2012).
 
-    Each ball gets the class floor(log2(reach)) of its padded reach
-    r (1 + tol)(1 + 8 eps).  Class b has a grid whose cell side is at least
-    twice its largest reach m_b, and every ball of class <= b looks up the
-    class-b balls in the 27 cells around its own; within class b only
-    i < j is kept, so each pair is measured once.  A space-filling packing
-    gives about 30 candidates per ball, but a packing whose radii span L
-    classes costs O(n L): a ball is looked up on every grid from its own
-    class upwards.
+    Each ball gets the class _radius_classes gives its padded reach
+    r (1 + tol)(1 + 8 eps): a run of the sorted reaches, so every ball of
+    class <= b has reach <= m_b, the largest reach of class b.  Class b has
+    a grid whose cell side is at least 2 m_b, and every ball of class <= b
+    looks up the class-b balls in the 27 cells around its own; within
+    class b only i < j is kept, so each pair is measured once.  A
+    space-filling packing gives about 30 candidates per ball, but a
+    packing whose radii span L classes costs O(n L): a ball is looked up
+    on every grid from its own class upwards.  Splitting the powers of two
+    at gaps keeps one large ball from widening the cells of the many small
+    ones in its power of two; a chain of large balls each within 2^(1/4)
+    of the next still shares one class, as with powers of two alone.
 
     Both the tangency and the overlap test imply, after rounding,
     |dx| <= (ri + rj)(1 + tol)(1 + 3 eps) <= reach_i + reach_j <= 2 m_b on
@@ -225,11 +264,10 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
     if len(radii) < 2:
         return
     reach = radii * ((1.0 + tol) * (1.0 + 8.0 * np.finfo(np.float64).eps))
-    level = np.frexp(reach)[1] - 1
+    level = _radius_classes(reach)
     low = centers.min(axis=0)
     min_side = float(np.ptp(centers, axis=0).max()) / MAX_CELLS
-    # not np.unique, which imports numpy.ma (1.2 MB of resident memory)
-    for b in sorted(set(level.tolist())):
+    for b in range(int(level.max()) + 1):
         queries = np.flatnonzero(level <= b)
         same = level[queries] == b
         side = max(2.0 * float(reach[queries[same]].max()) * (1.0 + _CELL_PAD), min_side)
@@ -329,14 +367,16 @@ def coverage_audit(
     radii = np.array([b.radius for b in packing.balls], dtype=np.float64)
     # rows (i, j) of ends pair with rows (a_ij, a_ji) of fractions; raveled,
     # they interleave in the order an edge-by-edge loop adds them
-    ends = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    flat = itertools.chain.from_iterable(graph.edges)
+    ends = np.fromiter(flat, dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2)
     ends_radii = radii[ends]
     fractions = coverage_fraction(rho, ends_radii, ends_radii[:, ::-1]).ravel()
     sums = np.zeros(len(packing))
     np.add.at(sums, ends.ravel(), fractions)
     # correctly rounded: a running sum drifts past the tolerance on large packings
     edge_sum = math.fsum(fractions.tolist())
-    rows = tuple(zip(range(len(packing)), graph.degrees(), sums.tolist()))
+    degrees = np.bincount(ends.ravel(), minlength=len(packing)).tolist()
+    rows = tuple(zip(range(len(packing)), degrees, sums.tolist()))
     floor = pair_sum_value(rho) * len(graph.edges)
     edge_ok = edge_sum >= floor - 1e-12 * max(1.0, abs(floor))
     violations = []

@@ -103,6 +103,21 @@ class TestHighdim:
         assert meta["configuration"] == {"command": "highdim", "d": 4, "format": "text", "rho": 1.755}
         assert list(meta["outputs"]) == ["stdout"]
 
+    def test_command_line_is_the_parsed_argv(self, capsys, monkeypatch):
+        # an in-process call records the arguments it parsed, after the
+        # host's program name, not the host's own arguments
+        monkeypatch.setattr("sys.argv", ["host", "--host-flag", "extra-arg"])
+        code, _, err = run(capsys, "highdim", "--d", "3")
+        assert code == 0
+        assert stderr_metadata(err)["command_line"] == ["host", "highdim", "--d", "3"]
+
+    def test_command_line_without_argv_is_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["kissbound", "highdim", "--d", "3"])
+        assert main() == 0
+        meta = stderr_metadata(capsys.readouterr().err)
+        assert meta["command_line"] == ["kissbound", "highdim", "--d", "3"]
+        assert meta["configuration"]["d"] == 3
+
 
 class TestOptimize:
     def test_small_sweep_argmin(self, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kissbound import (
     Ball,
@@ -61,13 +63,16 @@ def tangent_chain(rng, axis):
     return packing_from_balls(balls)
 
 
-def multiscale_packing(rng, count=300):
-    """Balls with log-uniform radii in [0.01, 100], each placed tangent to
-    an earlier one in a random direction and kept only if it overlaps none."""
+def multiscale_packing(
+    rng, count=300, draw=lambda rng: float(10.0 ** rng.uniform(-2.0, 2.0))
+):
+    """A unit ball and balls of radii draw(rng), by default log-uniform in
+    [0.01, 100], each placed tangent to an earlier one in a random
+    direction and kept only if it overlaps none."""
     centers = [np.zeros(3)]
     radii = [1.0]
     while len(radii) < count:
-        r = float(10.0 ** rng.uniform(-2.0, 2.0))
+        r = draw(rng)
         parent = int(rng.integers(len(radii)))
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
@@ -110,6 +115,14 @@ def spread_packing(rng, scale, count=120):
     return [
         Ball(tuple(scale * float(v) for v in c), scale * r) for c, r in zip(centers, radii)
     ]
+
+
+# radii on and one ulp either side of 2^(k/4), among them the powers of two
+CLASS_BOUNDARY_RADII = sorted(
+    float(np.nextafter(2.0 ** (k / 4), toward))
+    for k in range(-8, 9)
+    for toward in (0.0, 2.0 ** (k / 4), math.inf)
+)
 
 
 def fcc_with_holes(rng, shells=3):
@@ -315,6 +328,25 @@ class TestLoadPacking:
         with pytest.raises(PackingParseError):
             load_packing(payload)
 
+    @pytest.mark.parametrize(
+        "ball_3, ball_7, message",
+        [
+            ('"center": [1e400, 0, 0], "radius": 1', '"center": [28, 0, 0], "radius": "1"',
+             "ball 3: coordinates must be finite"),
+            ('"center": [12, 0, 0], "radius": true', '"center": [1e400, 0, 0], "radius": 1',
+             "ball 3: radius must be a number"),
+        ],
+        ids=["value_before_type", "type_before_value"],
+    )
+    def test_first_failing_ball_wins(self, ball_3, ball_7, message):
+        # the type checks run per ball and the value checks on the arrays;
+        # still the lower index wins, whichever check fails there
+        balls = [f'{{"center": [{4 * k}, 0, 0], "radius": 1}}' for k in range(10)]
+        balls[3], balls[7] = f"{{{ball_3}}}", f"{{{ball_7}}}"
+        with pytest.raises(PackingParseError) as info:
+            load_packing('{"balls": [' + ", ".join(balls) + "]}")
+        assert str(info.value) == message
+
     def test_deep_nesting_is_a_parse_error(self):
         # json.loads raises RecursionError on such a document
         with pytest.raises(PackingParseError, match="nests too deeply"):
@@ -438,6 +470,47 @@ class TestContactGraph:
         assert len(packing) == 1_505
         assert sum(yielded) <= 20 * len(packing)
 
+    @pytest.mark.parametrize("outliers", [[1.9], [1.9, 1.3]], ids=["one", "two"])
+    def test_lone_large_balls_do_not_widen_the_cells(self, outliers):
+        # a ball of radius 1.9 shares the unit balls' power of two; as one
+        # class with them it set a cell side of 3.8 and about 90 candidates
+        # per ball here.  Each outlier is tangent to the outermost unit ball
+        # on one side of the x axis.
+        balls = list(fcc_fragment(40).balls)
+        for sign, radius in zip((1.0, -1.0), outliers):
+            x, y, z = max((b.center for b in balls), key=lambda c: sign * c[0])
+            balls.append(Ball((x + sign * (1.0 + radius), y, z), radius))
+        centers = np.array([b.center for b in balls])
+        radii = np.array([b.radius for b in balls])
+        classes = packings._radius_classes(radii)
+        assert len(set(classes.tolist())) == 1 + len(outliers)
+        candidates = sum(len(i) for i, _, _ in packings._close_pairs(centers, radii, 1e-9))
+        assert candidates <= 20 * len(balls)
+        packing = packing_from_balls(balls)
+        assert packing.edges == brute_force_edges(packing)
+        assert len(packing.edges) == len(fcc_fragment(40).edges) + len(outliers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radii=st.lists(st.sampled_from(CLASS_BOUNDARY_RADII), min_size=2, max_size=40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_classes_at_their_boundaries(self, radii, seed):
+        # radii on and one ulp either side of 2^(k/4): the ratios between
+        # them sit on both sides of the class gap and of the powers of two
+        rng = np.random.default_rng(seed)
+        packing = multiscale_packing(rng, len(radii), draw=lambda rng: float(rng.choice(radii)))
+        assert packing.edges == brute_force_edges(packing)
+        reach = np.array(radii)
+        order = np.argsort(reach, kind="stable")
+        step = np.diff(packings._radius_classes(reach)[order])
+        # the class never falls as the reach grows, and opens exactly at a
+        # power of two or a ratio above 2^(1/4) between consecutive reaches
+        assert np.all((step == 0) | (step == 1))
+        ranked = reach[order]
+        octave = np.frexp(ranked[1:])[1] > np.frexp(ranked[:-1])[1]
+        assert np.array_equal(step == 1, octave | (ranked[1:] > ranked[:-1] * 2.0**0.25))
+
     def test_one_pair_search_per_packing(self, monkeypatch):
         calls = []
         close_pairs = packings._close_pairs
@@ -540,6 +613,7 @@ class TestCoverageAudit:
         assert (0.0 in fractions) == empty_caps
         assert audit.rows == tuple(zip(range(len(packing)), degrees, sums))
         assert all(type(value) is float for _, _, value in audit.rows)
+        assert all(type(degree) is int for _, degree, _ in audit.rows)
         assert audit.edge_sum == math.fsum(fractions)
         assert audit.edge_sum_floor == pair_sum_value(rho) * len(packing.edges)
         assert audit.edge_sum_ok
