@@ -34,7 +34,7 @@ from ._parallel import resolve_workers
 from .certifier import (
     DEFAULT_FP_SLACK, _check_writable, _write_text, certify, emit_certificate
 )
-from .density import SearchConfig, sweep_rho, sweep_to_csv
+from .density import SearchConfig, _sweep, sweep_to_csv
 from .errors import DomainError, KissboundError, PackingError
 from .highdim import MAX_DIMENSION, MIN_DIMENSION, a_of_d, k_bound_highdim
 from .packings import (
@@ -124,13 +124,8 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
     if not 0.0 < args.step < math.inf:
         raise _UsageError(f"step must be positive and finite, got {args.step:.12g}")
     cfg = SearchConfig(grid_step=args.grid_step, tol=args.tol)
-    results = sweep_rho(
-        args.rho_lo,
-        args.rho_hi,
-        args.step,
-        cfg=cfg,
-        prune_threshold=args.prune,
-        workers=args.workers,
+    results, processes = _sweep(
+        args.rho_lo, args.rho_hi, args.step, cfg, args.prune, args.workers
     )
     csv_text = sweep_to_csv(results, include_pruned=args.prune is not None)
     # results come in rho order, so ties go to the smallest rho
@@ -149,6 +144,8 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         # updates any start made, and the points the search evaluated
         "iterations": [r.iterations for r in results],
         "evaluations": [r.evaluations for r in results],
+        # the processes the sweep ran on, 1 when it ran in this one
+        "processes": processes,
     }
 
 

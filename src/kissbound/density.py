@@ -26,8 +26,11 @@ live lane, and the loop runs as many iterations as its slowest lane: at
 the `sweep` benchmark's 880 lanes, 786, though half the lanes are done by
 iteration 289.  A run holds at most MAX_LOOP_LANES lanes, and a
 ratio at most MAX_STARTS.  `sweep_rho` hands runs to worker processes
-through `_parallel.ordered_map`.  Lanes never mix, so a ratio's result has
-the same bits whichever ratios share its loop and whichever worker runs it.
+through `_parallel.ordered_map`, but only as many processes as get at
+least MIN_PROCESS_LANES lanes each, since every extra loop pays the fixed
+part again: the `sweep` benchmark's 880 lanes run in this process.
+Lanes never mix, so a ratio's result has the same bits whichever ratios
+share its loop and whichever worker runs it.
 """
 
 from __future__ import annotations
@@ -365,6 +368,14 @@ MAX_STARTS = 10**6
 # runs alone, as in max_density)
 MAX_LOOP_LANES = 16384
 
+# the fewest lanes worth a process of their own: a loop's iteration costs
+# mostly a fixed part per numpy call, which every extra loop pays again.
+# Medians of 5-7 in-process sweeps on 2 cores (BENCH_sweep_fanout.json),
+# wall time on one process against two: 880 lanes 0.50 against 0.62 s;
+# 1,320 and 1,360 lanes tie (1.29/1.35 s, 0.76/0.80 s); from 1,760 lanes
+# (1.70 against 1.43 s) up to 9,120 two processes win.
+MIN_PROCESS_LANES = 768
+
 
 def _rho_grid(rho_lo: float, rho_hi: float, step: float) -> list[float]:
     if not (1.0 < rho_lo <= rho_hi < 3.0):
@@ -399,18 +410,43 @@ def _pruned_result(rho: float, prune_threshold: float | None) -> SweepResult | N
 
 def _sweep_loops(
     geoms: list[RhoGeometry], cfg: SearchConfig, workers: int
-) -> list[list[RhoGeometry]]:
-    """Split geoms into runs of consecutive ratios, one lockstep loop each.
+) -> tuple[list[list[RhoGeometry]], int]:
+    """Split geoms into runs of consecutive ratios, one lockstep loop each,
+    and count the processes to run them on.
 
-    The run count is a multiple of `workers`, or one run per ratio, and
-    runs differ by at most one ratio.  A run holds at most MAX_LOOP_LANES
-    starts, unless a single ratio has more and runs alone.
+    The processes are `workers`, but no more than give each at least
+    MIN_PROCESS_LANES lanes and no more than ratios; 1 means in this
+    process.  The run count is a multiple of the process count, or one run
+    per ratio, and runs differ by at most one ratio.  A run holds at most
+    MAX_LOOP_LANES starts, unless a single ratio has more and runs alone.
     """
-    widest = max((_wedge_size(g, cfg.grid_step) for g in geoms), default=1)
-    per_loop = max(1, MAX_LOOP_LANES // widest)
+    sizes = [_wedge_size(g, cfg.grid_step) for g in geoms]
     n = len(geoms)
-    count = min(n, workers * -(-n // (workers * per_loop)))
-    return [geoms[n * i // count : n * (i + 1) // count] for i in range(count)]
+    processes = max(1, min(workers, n, sum(sizes) // MIN_PROCESS_LANES))
+    per_loop = max(1, MAX_LOOP_LANES // max(sizes, default=1))
+    count = min(n, processes * -(-n // (processes * per_loop)))
+    return [geoms[n * i // count : n * (i + 1) // count] for i in range(count)], processes
+
+
+def _sweep(
+    rho_lo: float,
+    rho_hi: float,
+    step: float,
+    cfg: SearchConfig | None,
+    prune_threshold: float | None,
+    workers: int | None,
+) -> tuple[list[SweepResult], int]:
+    """sweep_rho's results, and the processes they were searched on."""
+    if prune_threshold is not None and not math.isfinite(prune_threshold):
+        raise DomainError(f"prune threshold must be finite, got {prune_threshold!r}")
+    cfg = cfg or SearchConfig()
+    grid = _rho_grid(rho_lo, rho_hi, step)
+    results = [_pruned_result(rho, prune_threshold) for rho in grid]
+    todo = [rho_geometry(rho) for rho, r in zip(grid, results) if r is None]
+    loops, processes = _sweep_loops(todo, cfg, resolve_workers(workers))
+    with ordered_map(functools.partial(_search, cfg=cfg), loops, processes) as searched:
+        found = itertools.chain.from_iterable(searched)
+        return [r if r is not None else next(found) for r in results], processes
 
 
 def sweep_rho(
@@ -426,27 +462,18 @@ def sweep_rho(
     With prune_threshold set, ratios whose equilateral lower bound already
     reaches the threshold are skipped (marked pruned) instead of searched;
     without it the full interval is searched.  The ratios left are split
-    into runs of consecutive ratios, as many for each of the `workers`
-    processes (None: KISSBOUND_THREADS, else all cores; never more
-    processes than runs), and each run is searched in one lockstep loop,
-    which pays its per-iteration cost once per run instead of once per
-    ratio.  A run holds at most MAX_LOOP_LANES starts unless one ratio has
-    more, which bounds a worker's memory on long sweeps; a ratio with more
-    than MAX_STARTS starts raises DomainError.  Lanes never mix, so results
-    come back in grid order, are identical for any worker count, and each
-    equals `max_density(rho_geometry(rho), cfg)`.
+    into runs of consecutive ratios, as many for each process, and each
+    run is searched in one lockstep loop, which pays its per-iteration
+    cost once per run instead of once per ratio.  The processes are at
+    most `workers` (None: KISSBOUND_THREADS, else all cores), but only as
+    many as give each at least MIN_PROCESS_LANES starts: a shorter sweep
+    runs in this process.  A run holds at most MAX_LOOP_LANES starts
+    unless one ratio has more, which bounds a worker's memory on long
+    sweeps; a ratio with more than MAX_STARTS starts raises DomainError.
+    Lanes never mix, so results come back in grid order, are identical for
+    any worker count, and each equals `max_density(rho_geometry(rho), cfg)`.
     """
-    if prune_threshold is not None and not math.isfinite(prune_threshold):
-        raise DomainError(f"prune threshold must be finite, got {prune_threshold!r}")
-    cfg = cfg or SearchConfig()
-    grid = _rho_grid(rho_lo, rho_hi, step)
-    results = [_pruned_result(rho, prune_threshold) for rho in grid]
-    todo = [rho_geometry(rho) for rho, r in zip(grid, results) if r is None]
-    workers = resolve_workers(workers)
-    loops = _sweep_loops(todo, cfg, workers)
-    with ordered_map(functools.partial(_search, cfg=cfg), loops, workers) as searched:
-        found = itertools.chain.from_iterable(searched)
-        return [r if r is not None else next(found) for r in results]
+    return _sweep(rho_lo, rho_hi, step, cfg, prune_threshold, workers)[0]
 
 
 SWEEP_CSV_HEADER = "rho,max_density,x,y,z,objective"

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -17,6 +18,8 @@ from kissbound.packings import DEFAULT_TOLERANCE
 
 from conftest import data_path
 
+density_module = importlib.import_module("kissbound.density")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -26,7 +29,7 @@ def run(capsys, *argv):
 
 # the metadata record's keys, in order, and each command's own ones after
 REPORT_KEYS = ["command_line", "configuration", "version", "wall_time_s", "outputs"]
-OPTIMIZE_KEYS = ["failed_starts", "iterations", "evaluations"]
+OPTIMIZE_KEYS = ["failed_starts", "iterations", "evaluations", "processes"]
 
 
 def stderr_metadata(err):
@@ -225,6 +228,20 @@ class TestOptimize:
         assert meta["evaluations"] == [r.evaluations for r in results]
         assert meta["iterations"][:2] == [0, 0] and min(meta["iterations"][2:]) > 0
         assert min(meta["evaluations"][2:]) > 0
+
+    def test_processes_in_metadata(self, capsys, monkeypatch):
+        # 2 ratios of 84 starts are too few for a second process, unless
+        # every start is worth one
+        argv = ["optimize", "--rho-lo", "1.755", "--rho-hi", "1.765", "--step", "0.01"]
+        argv += ["--grid-step", "0.15", "--workers", "2"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert stderr_metadata(err)["processes"] == 1
+        monkeypatch.setattr(density_module, "MIN_PROCESS_LANES", 1)
+        code, forked, err = run(capsys, *argv)
+        assert code == 0
+        assert stderr_metadata(err)["processes"] == 2
+        assert forked == out
 
     @pytest.mark.parametrize(
         "flag, code", [("--step", 2), ("--grid-step", 4), ("--tol", 4)]

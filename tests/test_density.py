@@ -271,9 +271,10 @@ class TestSweep:
         assert len(results) == 1
         assert results[0].rho == 1.755
 
-    def test_worker_independence(self):
+    def test_worker_independence(self, monkeypatch):
         # 5 ratios: 2 and 3 workers split them into uneven groups; the
         # iteration cap keeps it quick and stops some lanes unconverged
+        monkeypatch.setattr(density_module, "MIN_PROCESS_LANES", 1)
         cfg = SearchConfig(grid_step=0.15, max_iterations=400)
         runs = [sweep_rho(1.74, 1.78, 0.01, cfg, workers=w) for w in (1, 2, 3)]
         assert len(runs[0]) == 5
@@ -285,8 +286,11 @@ class TestSweep:
     @pytest.mark.parametrize(
         "lo, hi, step, threshold", [(1.74, 1.78, 0.01, None), (1.45, 1.65, 0.05, 14.0)]
     )
-    def test_each_ratio_equals_standalone_search(self, lo, hi, step, threshold, workers):
+    def test_each_ratio_equals_standalone_search(
+        self, monkeypatch, lo, hi, step, threshold, workers
+    ):
         # searching a ratio beside others in one loop changes none of its bits
+        monkeypatch.setattr(density_module, "MIN_PROCESS_LANES", 1)
         cfg = SearchConfig(grid_step=0.15, max_iterations=400)
         results = sweep_rho(lo, hi, step, cfg, prune_threshold=threshold, workers=workers)
         searched = [r for r in results if not r.pruned]
@@ -305,14 +309,18 @@ class TestSweep:
         sizes = [len(_wedge_grid(g, cfg.grid_step)) for g in geoms]
         # room for `cap` of the widest ratios; cap 1 leaves one ratio per loop
         monkeypatch.setattr(density_module, "MAX_LOOP_LANES", cap * max(sizes) + 1)
-        loops = density_module._sweep_loops(geoms, cfg, workers)
-        assert [g for loop in loops for g in loop] == geoms
-        assert len(loops) % workers == 0 or len(loops) == len(geoms)
-        assert max(map(len, loops)) - min(map(len, loops)) <= 1
-        for loop in loops:
-            lanes = sum(sizes[geoms.index(g)] for g in loop)
-            assert lanes <= density_module.MAX_LOOP_LANES
-            assert lanes == sum(density_module._wedge_size(g, cfg.grid_step) for g in loop)
+        # the lanes a process needs: 1, a third and a half of the sweep's, and more than all
+        for share in (1, sum(sizes) // 3, sum(sizes) // 2, sum(sizes) + 1):
+            monkeypatch.setattr(density_module, "MIN_PROCESS_LANES", share)
+            loops, processes = density_module._sweep_loops(geoms, cfg, workers)
+            assert processes == min(workers, max(1, sum(sizes) // share))
+            assert [g for loop in loops for g in loop] == geoms
+            assert len(loops) % processes == 0 or len(loops) == len(geoms)
+            assert max(map(len, loops)) - min(map(len, loops)) <= 1
+            for loop in loops:
+                lanes = sum(sizes[geoms.index(g)] for g in loop)
+                assert lanes <= density_module.MAX_LOOP_LANES
+                assert lanes == sum(density_module._wedge_size(g, cfg.grid_step) for g in loop)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_long_sweep_runs_in_bounded_loops(self, monkeypatch, workers):
@@ -321,6 +329,7 @@ class TestSweep:
         cfg = SearchConfig(grid_step=0.15, max_iterations=400)
         widest = max(len(_wedge_grid(rho_geometry(1.74 + 0.005 * i), 0.15)) for i in range(7))
         monkeypatch.setattr(density_module, "MAX_LOOP_LANES", 2 * widest)
+        monkeypatch.setattr(density_module, "MIN_PROCESS_LANES", 1)
         searched = []
         search = density_module._search
 
