@@ -141,9 +141,11 @@ def cmd_optimize(args: argparse.Namespace) -> tuple[int, dict]:
         "outputs": {"stdout": _sha256(csv_text)},
         "failed_starts": sum(r.failed_starts for r in results),
         # per ratio in CSV row order, 0 for pruned rows: the most simplex
-        # updates any start made, and the points the search evaluated
+        # updates any start made, the points the search evaluated, and the
+        # starts the iteration cap stopped unconverged
         "iterations": [r.iterations for r in results],
         "evaluations": [r.evaluations for r in results],
+        "capped": [r.capped for r in results],
         # the processes the sweep ran on, 1 when it ran in this one
         "processes": processes,
     }

@@ -20,9 +20,11 @@ lanes together: all of a `max_density` call, or a run of consecutive
 ratios of a `sweep_rho` call, each lane looking up its own ratio's
 geometry.  The loop's numpy calls are then shared by every lane, and the
 objective `_kernels.density_vec` runs its arccos and K stages once on the
-three vertices stacked.  An iteration costs a fixed part (its numpy calls
-and two objective calls, three when some lane shrinks) plus a part per
-live lane, and the loop runs as many iterations as its slowest lane: at
+three vertices stacked.  The lanes are the last axis of every array the
+loop carries, contiguous in memory, so each of those calls runs on
+contiguous rows.  An iteration costs a fixed part (its numpy calls and
+two objective calls, three when some lane shrinks) plus a part per live
+lane, and the loop runs as many iterations as its slowest lane: at
 the `sweep` benchmark's 880 lanes, 786, though half the lanes are done by
 iteration 289.  A run holds at most MAX_LOOP_LANES lanes, and a
 ratio at most MAX_STARTS.  `sweep_rho` hands runs to worker processes
@@ -106,7 +108,8 @@ class SweepResult:
     hold the equilateral lower-bound values that justified exclusion.
     The search's counts stay out of comparisons: iterations is the most
     simplex updates any start made, evaluations the points at which D
-    was evaluated (both 0 on pruned rows).
+    was evaluated, capped the starts that cfg.max_iterations stopped with
+    their simplex size or value spread above cfg.tol (all 0 on pruned rows).
     """
 
     rho: float
@@ -117,6 +120,7 @@ class SweepResult:
     failed_starts: int = field(default=0, compare=False)
     iterations: int = field(default=0, compare=False)
     evaluations: int = field(default=0, compare=False)
+    capped: int = field(default=0, compare=False)
 
 
 def density(geom: RhoGeometry, x: float, y: float, z: float) -> TriangleDensity:
@@ -198,7 +202,13 @@ def _search(
     A lane is one (ratio, start) pair: the last axis of a (3, 4, S) array
     of simplices (coordinate, vertex, lane) with (4, S) values, so each
     step runs on rows over the lanes.  `owner` names each lane's ratio, and
-    the objective gets that ratio's column of the geometry table.  A lane
+    the objective gets that ratio's column of the geometry table.  Every
+    array the loop carries or hands the objective (simplices, values,
+    geometry columns, lane ids, points) stays contiguous along the lanes:
+    lanes are selected, sorted and dropped by gathers along one axis
+    (np.take, np.compress), never by a fancy index mixed with slices, whose
+    result numpy lays out lane-major, and kept points are written in place
+    (np.copyto).  These only move data, so the layout changes no bit.  A lane
     stops once its simplex size and value spread are both within cfg.tol,
     or after cfg.max_iterations passes.  Per-lane masks choose reflection,
     expansion, contraction or shrink.  Points outside I_rho^3 get an
@@ -211,26 +221,34 @@ def _search(
     start = np.asarray([p for s in starts for p in s], dtype=np.float64).reshape(-1, 3)
     table = np.array([(g.rho, g.alpha_min, g.alpha_zero, g.alpha_max) for g in geoms]).T
     # vertex k + 1 of a start's simplex scales its coordinate k
-    sim = start.T[:, None] * np.where(np.eye(3, 4, k=1, dtype=bool), INITIAL_SCALE, 1.0)[..., None]
-    fsim = _neg_density(RhoGeometry(*table[:, owner]), sim)
+    scale = np.where(np.eye(3, 4, k=1, dtype=bool), INITIAL_SCALE, 1.0)
+    sim = np.ascontiguousarray(start.T)[:, None] * scale[..., None]
+    fsim = _neg_density(RhoGeometry(*np.take(table, owner, axis=-1)), sim)
     best_x, best_f = start.copy(), np.full(len(start), np.inf)
-    # per lane: simplex updates made, and how many of them shrank the simplex
+    # per lane: simplex updates made, how many of them shrank the simplex,
+    # and whether the iteration cap stopped it unconverged
     steps, shrinks = np.zeros(len(start), np.int64), np.zeros(len(start), np.int64)
+    capped = np.zeros(len(start), bool)
     lanes = np.flatnonzero(np.isfinite(fsim[0]))
-    sim, fsim, cols = sim[:, :, lanes], fsim[:, lanes], table[:, owner[lanes]]
-    geom, rows = RhoGeometry(*cols), np.arange(len(lanes))
+    sim, fsim = np.take(sim, lanes, axis=-1), np.take(fsim, lanes, axis=-1)
+    cols = np.take(table, owner[lanes], axis=-1)
+    geom = RhoGeometry(*cols)
     for iteration in itertools.count(1):
-        order = np.argsort(fsim, axis=0, kind="stable")
-        sim, fsim = sim[:, order, rows], fsim[order, rows]
-        size = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(0, 1))
+        # vertex order[k, l] of lane l is its k-th: flat indices into (vertex, lane)
+        order = np.argsort(fsim, axis=0, kind="stable") * lanes.size + np.arange(lanes.size)
+        sim, fsim = np.take(sim.reshape(3, -1), order, axis=1), np.take(fsim, order)
+        size = np.abs((sim[:, 1:] - sim[:, :1]).reshape(9, -1)).max(axis=0)
         # the values are sorted, so the largest |f_k - f_0| is f_3 - f_0
         spread = fsim[3] - fsim[0]
-        done = ((size <= cfg.tol) & (spread <= cfg.tol)) | (iteration >= cfg.max_iterations)
+        converged = (size <= cfg.tol) & (spread <= cfg.tol)
+        done = converged | (iteration >= cfg.max_iterations)
         if done.any():
             best_x[lanes[done]], best_f[lanes[done]] = sim[:, 0, done].T, fsim[0, done]
             steps[lanes[done]] = iteration - 1
-            lanes, sim, fsim, cols = lanes[~done], sim[:, :, ~done], fsim[:, ~done], cols[:, ~done]
-            geom, rows = RhoGeometry(*cols), np.arange(len(lanes))
+            capped[lanes[done]] = ~converged[done]
+            live = ~done
+            lanes, sim, fsim, cols = (np.compress(live, v, -1) for v in (lanes, sim, fsim, cols))
+            geom = RhoGeometry(*cols)
         if not lanes.size:
             break
 
@@ -252,13 +270,14 @@ def _search(
             | (inside & (f_trial < fsim[3]))
         )
         keep = take_trial | accept | expand
-        sim[:, 3, keep] = np.where(take_trial, trial, xr)[:, keep]
-        fsim[3, keep] = np.where(take_trial, f_trial, fxr)[keep]
+        np.copyto(sim[:, 3], np.where(take_trial, trial, xr), where=keep)
+        np.copyto(fsim[3], np.where(take_trial, f_trial, fxr), where=keep)
         if not keep.all():
             shrink = ~keep
-            anchor = sim[:, :1, shrink]
-            sim[:, 1:, shrink] = anchor + SHRINK * (sim[:, 1:, shrink] - anchor)
-            fsim[1:, shrink] = _neg_density(RhoGeometry(*cols[:, shrink]), sim[:, 1:, shrink])
+            part = np.compress(shrink, sim, axis=-1)
+            moved = part[:, :1] + SHRINK * (part[:, 1:] - part[:, :1])
+            sim[:, 1:, shrink] = moved
+            fsim[1:, shrink] = _neg_density(RhoGeometry(*np.compress(shrink, cols, axis=-1)), moved)
             shrinks[lanes[shrink]] += 1
 
     # a start evaluates its 4 vertices, an update 2 points, a shrink 3 more
@@ -281,6 +300,7 @@ def _search(
                 failed_starts=int(np.count_nonzero(~finite)),
                 iterations=int(steps[mine].max()),
                 evaluations=int(evaluations[mine].sum()),
+                capped=int(np.count_nonzero(capped[mine])),
             )
         )
     return results

@@ -266,6 +266,8 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
     reach = radii * ((1.0 + tol) * (1.0 + 8.0 * np.finfo(np.float64).eps))
     level = _radius_classes(reach)
     low = centers.min(axis=0)
+    # a pair's distance from three coordinate gathers, not a sum over (m, 3) rows
+    x, y, z = centers.T
     min_side = float(np.ptp(centers, axis=0).max()) / MAX_CELLS
     for b in range(int(level.max()) + 1):
         queries = np.flatnonzero(level <= b)
@@ -286,12 +288,18 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
             offsets = np.concatenate(([0], np.cumsum(stop - first)))
             total = int(offsets[-1])
             for start in range(0, total, MAX_PAIR_BATCH):
-                flat = np.arange(start, min(start + MAX_PAIR_BATCH, total))
-                k = np.searchsorted(offsets, flat, side="right") - 1
-                a, c = queries[k], grid[first[k] + flat - offsets[k]]
+                end = min(start + MAX_PAIR_BATCH, total)
+                # the queries owning candidates start .. end - 1, once per candidate
+                q = np.arange(
+                    np.searchsorted(offsets, start, side="right") - 1,
+                    np.searchsorted(offsets, end, side="left"),
+                )
+                k = np.repeat(q, np.minimum(offsets[q + 1], end) - np.maximum(offsets[q], start))
+                a, c = queries[k], grid[first[k] + np.arange(start, end) - offsets[k]]
                 keep = ~same[k] | (a < c)
                 i, j = np.minimum(a[keep], c[keep]), np.maximum(a[keep], c[keep])
-                yield i, j, np.sqrt(np.sum((centers[j] - centers[i]) ** 2, axis=1))
+                dx, dy, dz = x[j] - x[i], y[j] - y[i], z[j] - z[i]
+                yield i, j, np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def contact_graph(packing: Packing) -> ContactGraph:

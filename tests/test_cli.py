@@ -29,7 +29,7 @@ def run(capsys, *argv):
 
 # the metadata record's keys, in order, and each command's own ones after
 REPORT_KEYS = ["command_line", "configuration", "version", "wall_time_s", "outputs"]
-OPTIMIZE_KEYS = ["failed_starts", "iterations", "evaluations", "processes"]
+OPTIMIZE_KEYS = ["failed_starts", "iterations", "evaluations", "capped", "processes"]
 
 
 def stderr_metadata(err):
@@ -226,7 +226,9 @@ class TestOptimize:
         assert [row[-1] for row in rows] == ["true", "true", "false", "false"]
         assert meta["iterations"] == [r.iterations for r in results]
         assert meta["evaluations"] == [r.evaluations for r in results]
+        assert meta["capped"] == [r.capped for r in results]
         assert meta["iterations"][:2] == [0, 0] and min(meta["iterations"][2:]) > 0
+        assert meta["capped"][:2] == [0, 0]
         assert min(meta["evaluations"][2:]) > 0
 
     def test_processes_in_metadata(self, capsys, monkeypatch):

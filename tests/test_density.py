@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -42,7 +43,7 @@ REPORTED_OPTIMUM = 13.908778
 
 def search_counts(result):
     """The fields of a SweepResult that `==` leaves out."""
-    return result.failed_starts, result.iterations, result.evaluations
+    return result.failed_starts, result.iterations, result.evaluations, result.capped
 
 
 class TestDensity:
@@ -251,6 +252,28 @@ class TestMaxDensity:
         # a capped lane stops at its last pass: max_iterations - 1 updates
         capped = max_density(rho_geometry(1.755), SearchConfig(max_iterations=5), [(0.3,) * 3])
         assert capped.iterations == 4
+        assert capped.capped == 1
+        assert result.capped == 0
+
+    def test_objective_sees_lane_contiguous_rows(self, monkeypatch):
+        # every point and geometry column the loop hands the objective runs
+        # along the lanes in memory, through compaction and shrinks alike
+        shapes = []
+
+        def checking(geom, points):
+            assert points.strides[-1] == points.itemsize
+            fields = [v for v in dataclasses.astuple(geom) if isinstance(v, np.ndarray)]
+            assert len(fields) == 4
+            assert all(v.strides[-1] == 8 for v in fields)
+            shapes.append(points.shape)
+            return _neg_density(geom, points)
+
+        monkeypatch.setattr(density_module, "_neg_density", checking)
+        results = sweep_rho(1.745, 1.76, 0.005, SearchConfig(grid_step=0.15), workers=1)
+        assert len(results) == 4
+        # the shrink's (3, 3, N) points were among them, and lanes were dropped
+        assert (3, 3) in {shape[:2] for shape in shapes if len(shape) == 3}
+        assert len({shape[-1] for shape in shapes}) > 2
 
     def test_area_bound_reduction(self):
         # with the density maximum replaced by 1 the objective collapses
@@ -348,6 +371,14 @@ class TestSweep:
             alone = max_density(rho_geometry(r.rho), cfg)
             assert r == alone
             assert search_counts(r) == search_counts(alone)
+
+    def test_capped_lanes_counted(self):
+        # PINNED_CAPPED_SWEEP's setup stops lanes at every ratio; the
+        # benchmark sweep's 880 lanes all converge within the default cap
+        capped = sweep_rho(1.745, 1.76, 0.005, SearchConfig(grid_step=0.15, max_iterations=400))
+        assert all(r.capped >= 1 for r in capped)
+        converged = sweep_rho(1.745, 1.76, 0.005, SearchConfig(grid_step=0.1))
+        assert [r.capped for r in converged] == [0] * 4
 
     def test_pruning_marks_excluded_ratios(self):
         results = sweep_rho(1.50, 1.60, 0.05, SearchConfig(grid_step=0.1), prune_threshold=14.0)

@@ -526,6 +526,22 @@ class TestContactGraph:
         assert len(calls) == 1
         assert audit.edge_count == len(graph.edges) == 60
 
+    @pytest.mark.parametrize("batch", [packings.MAX_PAIR_BATCH, 7])
+    def test_pair_distances_keep_the_row_sum_bits(self, rng, monkeypatch, batch):
+        # distances from the three coordinate columns have the bits of
+        # summing each pair's squared difference row, also when batches
+        # split a query's candidates
+        monkeypatch.setattr(packings, "MAX_PAIR_BATCH", batch)
+        for packing in (fcc_fragment(3), multiscale_packing(rng, 150)):
+            centers = np.array([b.center for b in packing.balls])
+            radii = np.array([b.radius for b in packing.balls])
+            pairs = 0
+            for i, j, dist in packings._close_pairs(centers, radii, packing.tolerance):
+                expected = np.sqrt(np.sum((centers[j] - centers[i]) ** 2, axis=1))
+                assert dist.tobytes() == expected.tobytes()
+                pairs += len(i)
+            assert pairs >= len(packing.edges) > 0
+
     def test_packing_requires_edges(self):
         # the edges come from validation; a hand-built Packing has none to give
         balls = (Ball((0.0, 0.0, 0.0), 1.0),)
