@@ -7,15 +7,17 @@ A packing document is a single JSON object
 with finite decimal numbers.  Tangency and overlap are decided with a
 relative tolerance (default 1e-9) because exact tangency is not
 representable for irrational configurations; the tolerance used is
-recorded in every report.  The contact edges are found once, while the
-packing is validated: one pair search on a multilevel cell grid, binned
-by radius class, measures every candidate pair for the overlap check and
-keeps the tangent ones, and the contact graph and the coverage audit read
-them from the Packing.  A class is a run of the sorted radii, split at
-every power of two and wherever one radius exceeds the next smaller by
-more than 2^(1/4), so a lone large ball gets a grid of its own.  A
-space-filling packing gives about 30 candidates per ball; radii spread
-over L classes cost O(n L).
+recorded in every report.  A Packing holds arrays: the centers, the radii
+and the two ends of every contact edge; its balls and edges, as Ball
+objects and int pairs, are built on first access.  The contact edges are
+found once, while the packing is validated: one pair search on a
+multilevel cell grid, binned by radius class, measures every candidate
+pair for the overlap check and keeps the tangent ones, and the contact
+graph and the coverage audit read them from the Packing.  A class is a
+run of the sorted radii, split at every power of two and wherever one
+radius exceeds the next smaller by more than 2^(1/4), so a lone large
+ball gets a grid of its own.  A space-filling packing gives about 30
+candidates per ball; radii spread over L classes cost O(n L).
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -27,6 +29,7 @@ density.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -74,21 +77,56 @@ class Ball:
     radius: float
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class Packing:
-    """Validated list of balls with pairwise non-intersecting interiors.
+    """Validated balls with pairwise non-intersecting interiors, as arrays.
 
-    edges are the tangent pairs (i, j), i < j, in lexicographic order.
-    They are found once, while the packing is validated, so build a
-    Packing with packing_from_balls or load_packing.
+    centers (n, 3) and radii (n,) are float64; the columns (i, j), i < j,
+    of ends (2, m) are the tangent pairs in lexicographic order.  The
+    arrays are read-only.  balls and edges give the same packing as Ball
+    objects and int pairs, built on first access; equality and hashing go
+    over them.  The edges are found once, while the packing is validated,
+    so build a Packing with packing_from_balls or load_packing.
     """
 
-    balls: tuple[Ball, ...]
-    edges: tuple[tuple[int, int], ...]
+    centers: np.ndarray
+    radii: np.ndarray
+    ends: np.ndarray
     tolerance: float = DEFAULT_TOLERANCE
 
+    def __post_init__(self) -> None:
+        for array in (self.centers, self.radii, self.ends):
+            array.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle gives the arrays back writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    @functools.cached_property
+    def balls(self) -> tuple[Ball, ...]:
+        return tuple(map(Ball, map(tuple, self.centers.tolist()), self.radii.tolist()))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        # one int object per ball, shared by all of its edges
+        label = list(range(len(self))).__getitem__
+        i, j = self.ends.tolist()
+        return tuple(zip(map(label, i), map(label, j)))
+
+    def _key(self) -> tuple:
+        return self.balls, self.edges, self.tolerance
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __len__(self) -> int:
-        return len(self.balls)
+        return len(self.radii)
 
 
 @dataclass(frozen=True)
@@ -121,14 +159,15 @@ def packing_from_balls(
     and its penetration depth.
     """
     balls = tuple(balls)
-    centers = np.array([b.center for b in balls], dtype=np.float64)
+    centers = np.array([b.center for b in balls], dtype=np.float64).reshape(-1, 3)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
-    return _packing(balls, centers, radii, tolerance)
+    packing = _packing(centers, radii, tolerance)
+    # the caller's balls, as given: Ball((0, 0, 0), 1) keeps its ints
+    packing.__dict__["balls"] = balls
+    return packing
 
 
-def _packing(
-    balls: tuple[Ball, ...], centers: np.ndarray, radii: np.ndarray, tolerance: float
-) -> Packing:
+def _packing(centers: np.ndarray, radii: np.ndarray, tolerance: float) -> Packing:
     # from 1 up no distance is an overlap and every pair within reach an edge
     if not 0.0 <= tolerance < 1.0:
         raise DomainError(f"tolerance must lie in [0, 1), got {tolerance!r}")
@@ -157,12 +196,10 @@ def _packing(
     if overlaps:
         i, j, dist = min(overlaps)
         raise OverlapError(i, j, float(radii[i] + radii[j] - dist))
-    i, j = np.concatenate(hits, axis=1)
-    order = np.lexsort((j, i))
-    # one int object per ball, shared by all of its edges
-    label = list(range(len(balls))).__getitem__
-    edges = tuple(zip(map(label, i[order]), map(label, j[order])))
-    return Packing(balls=balls, edges=edges, tolerance=tolerance)
+    ends = np.concatenate(hits, axis=1)
+    # lexsort's last key is the primary one: by i, then by j
+    ends = ends[:, np.lexsort(ends[::-1])]
+    return Packing(centers=centers, radii=radii, ends=ends, tolerance=tolerance)
 
 
 def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing:
@@ -183,25 +220,29 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
     raw_balls = data["balls"]
     if not isinstance(raw_balls, list):
         raise PackingParseError("'balls' must be a list")
-    balls = []
+    centers, radii = [], []
     type_error = None
     for index, item in enumerate(raw_balls):
-        if not isinstance(item, dict):
+        if type(item) is not dict:
             type_error = f"ball {index} must be an object"
             break
         center = item.get("center")
         radius = item.get("radius")
         # every JSON number parses as a float; true and false are bools
-        if not isinstance(center, list) or [type(v) for v in center] != [float] * 3:
+        if type(center) is not list or len(center) != 3 or not (
+            type(center[0]) is type(center[1]) is type(center[2]) is float
+        ):
             type_error = f"ball {index}: center must be [x, y, z]"
             break
         if type(radius) is not float:
             type_error = f"ball {index}: radius must be a number"
             break
-        balls.append(Ball(center=tuple(center), radius=radius))
+        centers.append(center)
+        radii.append(radius)
     # the value checks of the balls before a type error come first
-    centers = np.array([b.center for b in balls], dtype=np.float64).reshape(-1, 3)
-    radii = np.array([b.radius for b in balls], dtype=np.float64)
+    n = len(radii)
+    centers = np.fromiter(itertools.chain.from_iterable(centers), np.float64, 3 * n).reshape(n, 3)
+    radii = np.fromiter(radii, np.float64, n)
     finite = np.isfinite(centers).all(axis=1) & np.isfinite(radii)
     bad = np.flatnonzero(~finite | (radii <= 0.0))
     if len(bad):
@@ -210,7 +251,7 @@ def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing
         raise PackingParseError(f"ball {index}: {problem}")
     if type_error is not None:
         raise PackingParseError(type_error)
-    return _packing(tuple(balls), centers, radii, tolerance)
+    return _packing(centers, radii, tolerance)
 
 
 def _tangent_mask(dist: np.ndarray, radius_sum: np.ndarray, tol: float) -> np.ndarray:
@@ -371,13 +412,10 @@ def coverage_audit(
     if max_density_ref is not None and not math.isfinite(max_density_ref):
         # no per-ball sum exceeds a NaN or infinite reference: the check would be void
         raise DomainError(f"max density reference must be finite, got {max_density_ref!r}")
-    graph = contact_graph(packing)
-    radii = np.array([b.radius for b in packing.balls], dtype=np.float64)
     # rows (i, j) of ends pair with rows (a_ij, a_ji) of fractions; raveled,
     # they interleave in the order an edge-by-edge loop adds them
-    flat = itertools.chain.from_iterable(graph.edges)
-    ends = np.fromiter(flat, dtype=np.intp, count=2 * len(graph.edges)).reshape(-1, 2)
-    ends_radii = radii[ends]
+    ends = np.ascontiguousarray(packing.ends.T)
+    ends_radii = packing.radii[ends]
     fractions = coverage_fraction(rho, ends_radii, ends_radii[:, ::-1]).ravel()
     sums = np.zeros(len(packing))
     np.add.at(sums, ends.ravel(), fractions)
@@ -385,7 +423,7 @@ def coverage_audit(
     edge_sum = math.fsum(fractions.tolist())
     degrees = np.bincount(ends.ravel(), minlength=len(packing)).tolist()
     rows = tuple(zip(range(len(packing)), degrees, sums.tolist()))
-    floor = pair_sum_value(rho) * len(graph.edges)
+    floor = pair_sum_value(rho) * len(ends)
     edge_ok = edge_sum >= floor - 1e-12 * max(1.0, abs(floor))
     violations = []
     if not edge_ok:
@@ -407,7 +445,7 @@ def coverage_audit(
         rho=rho,
         tolerance=packing.tolerance,
         rows=rows,
-        edge_count=len(graph.edges),
+        edge_count=len(ends),
         edge_sum=edge_sum,
         edge_sum_floor=floor,
         edge_sum_ok=edge_ok,

@@ -638,6 +638,21 @@ class TestGraph:
         assert lines[0] == "ball_index,degree,coverage_sum"
         assert len(lines) == 20
 
+    @pytest.mark.parametrize(
+        "balls, count, rows",
+        [("", 0, ""), ('{"center": [0, 0, 0], "radius": 1}', 1, "0,0,0\n")],
+        ids=["empty", "one_ball"],
+    )
+    def test_fewer_than_two_balls_with_audit(self, capsys, tmp_path, balls, count, rows):
+        path = tmp_path / "small.json"
+        path.write_text('{"balls": [%s]}' % balls, encoding="utf-8")
+        code, out, _ = run(capsys, "graph", str(path), "--rho", "1.755")
+        assert code == 0
+        assert out == (
+            f"balls: {count}\nedges: 0\naverage_degree: 0\nedge_sum: 0\n"
+            "edge_sum_floor: 0\nedge_sum_ok: true\nball_index,degree,coverage_sum\n" + rows
+        )
+
     def test_overlap_exit_nonzero(self, capsys):
         code, _, err = run(capsys, "graph", data_path("overlapping.json"))
         assert code == 3

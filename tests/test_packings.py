@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -171,6 +173,27 @@ def widest_pairs(rng, base, tolerance, count=200):
     return packing_from_balls(balls, tolerance)
 
 
+CENTER = "ball 0: center must be [x, y, z]"
+# each malformed document, with the message that rejects it
+SCHEMA_VIOLATIONS = {
+    "[]": "packing document must be an object with a 'balls' list",
+    '{"balls": "no"}': "'balls' must be a list",
+    '{"balls": [{"center": [0, 0], "radius": 1}]}': CENTER,
+    '{"balls": [{"center": [0, 0, 0], "radius": -1}]}': "ball 0: radius must be positive",
+    '{"balls": [{"center": [0, 0, 0], "radius": "r"}]}': "ball 0: radius must be a number",
+    '{"balls": [{"center": [0, 0, 0]}]}': "ball 0: radius must be a number",
+    '{"balls": [{"center": [0, 0, 1e400], "radius": 1}]}': "ball 0: coordinates must be finite",
+    '{"balls": [{"center": [true, 0, 0], "radius": 1}]}': CENTER,
+    '{"balls": [{"center": [0, 0, 0], "radius": true}]}': "ball 0: radius must be a number",
+    '{"balls": [{"center": [0, 0, 0, 0], "radius": 1}]}': CENTER,
+    '{"balls": [{"center": [0, 0, true], "radius": 1}]}': CENTER,
+    '{"balls": [{"center": "xyz", "radius": 1}]}': CENTER,
+    '{"balls": [{"center": [[0], [0], [0]], "radius": 1}]}': CENTER,
+    '{"balls": [{"center": null, "radius": 1}]}': CENTER,
+    '{"balls": [[0, 0, 0, 1]]}': "ball 0 must be an object",
+}
+
+
 class TestLoadPacking:
     def test_two_tangent_unit_balls(self):
         packing = load_packing(read("two_balls.json"))
@@ -310,23 +333,11 @@ class TestLoadPacking:
             load_packing(read("malformed.json") + "}")
         assert "ball 0" in str(info.value)
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            "[]",
-            '{"balls": "no"}',
-            '{"balls": [{"center": [0, 0], "radius": 1}]}',
-            '{"balls": [{"center": [0, 0, 0], "radius": -1}]}',
-            '{"balls": [{"center": [0, 0, 0], "radius": "r"}]}',
-            '{"balls": [{"center": [0, 0, 0]}]}',
-            '{"balls": [{"center": [0, 0, 1e400], "radius": 1}]}',
-            '{"balls": [{"center": [true, 0, 0], "radius": 1}]}',
-            '{"balls": [{"center": [0, 0, 0], "radius": true}]}',
-        ],
-    )
+    @pytest.mark.parametrize("payload", list(SCHEMA_VIOLATIONS))
     def test_schema_violations(self, payload):
-        with pytest.raises(PackingParseError):
+        with pytest.raises(PackingParseError) as info:
             load_packing(payload)
+        assert str(info.value) == SCHEMA_VIOLATIONS[payload]
 
     @pytest.mark.parametrize(
         "ball_3, ball_7, message",
@@ -549,6 +560,91 @@ class TestContactGraph:
             packings.Packing(balls=balls)
         with pytest.raises(TypeError):
             packings.Packing(balls, 1e-9)
+
+
+class TestPackingArrays:
+    @pytest.mark.parametrize("name", ["two_balls.json", "fcc_n2.json"])
+    def test_load_equals_packing_from_its_balls(self, name):
+        first, second = load_packing(read(name)), load_packing(read(name))
+        assert first == second and hash(first) == hash(second)
+        assert first == packing_from_balls(first.balls)
+        assert first != load_packing(read(name), tolerance=1e-6)
+
+    def test_arrays_hold_the_packing(self):
+        packing = load_packing(read("fcc_n2.json"))
+        assert packing.centers.dtype == packing.radii.dtype == np.float64
+        assert packing.ends.dtype == np.intp
+        assert packing.centers.tolist() == [list(b.center) for b in packing.balls]
+        assert packing.radii.tolist() == [b.radius for b in packing.balls]
+        assert packing.ends.T.tolist() == [list(edge) for edge in packing.edges]
+        assert all(type(v) is int for edge in packing.edges for v in edge)
+
+    @pytest.mark.parametrize("name", ["centers", "radii", "ends"])
+    def test_arrays_read_only(self, name):
+        for packing in (load_packing(read("fcc_n2.json")), fcc_fragment(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(packing, name)[0] = 0
+
+    @pytest.mark.parametrize("touch", [False, True], ids=["fresh", "cached"])
+    def test_pickle_round_trip(self, touch):
+        packing = load_packing(read("fcc_n2.json"))
+        if touch:
+            assert packing.edges and packing.balls
+        copy = pickle.loads(pickle.dumps(packing))
+        assert copy == packing and hash(copy) == hash(packing)
+        assert not any(getattr(copy, name).flags.writeable for name in ("centers", "radii", "ends"))
+
+    def test_packing_from_balls_keeps_the_callers_balls(self):
+        balls = [Ball((0, 0, 0), 1), Ball((2, 0, 0), 1)]
+        packing = packing_from_balls(balls)
+        assert all(packing.balls[i] is balls[i] for i in range(2))
+        assert packing.edges == ((0, 1),)
+        assert packing == load_packing(read("two_balls.json"))
+
+    @pytest.mark.parametrize("source", ["fcc_n2.json", "fcc_fragment_6"])
+    def test_graph_pass_builds_no_ball(self, monkeypatch, source):
+        if source == "fcc_n2.json":
+            document = read(source)
+        else:
+            balls = fcc_fragment(6).balls
+            document = json.dumps({"balls": [{"center": b.center, "radius": b.radius} for b in balls]})
+        built = []
+
+        class CountingBall(Ball):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(packings, "Ball", CountingBall)
+        packing = load_packing(document)
+        edges = contact_graph(packing).edges
+        audit_to_csv(coverage_audit(packing, 1.755))
+        assert built == []
+        monkeypatch.undo()
+        described = json.loads(document, parse_int=float)["balls"]
+        assert packing.balls == tuple(Ball(tuple(b["center"]), b["radius"]) for b in described)
+        assert edges == brute_force_edges(packing) != ()
+
+    @pytest.mark.parametrize(
+        "document, rows, csv",
+        [
+            ('{"balls": []}', (), AUDIT_CSV_HEADER + "\n"),
+            (
+                '{"balls": [{"center": [0, 0, 0], "radius": 1}]}',
+                ((0, 0, 0.0),),
+                AUDIT_CSV_HEADER + "\n0,0,0\n",
+            ),
+        ],
+        ids=["empty", "one_ball"],
+    )
+    def test_fewer_than_two_balls(self, document, rows, csv):
+        packing = load_packing(document)
+        assert packing.centers.shape == (len(rows), 3) and packing.ends.shape == (2, 0)
+        assert contact_graph(packing).edges == packing.edges == ()
+        audit = coverage_audit(packing, 1.755)
+        assert audit.rows == rows and audit.edge_count == 0 and audit.edge_sum_ok
+        assert audit_to_csv(audit) == csv
+        assert packing == packing_from_balls(packing.balls)
 
 
 class TestFccFragment:
