@@ -7,9 +7,22 @@ the corner estimate
     D <= (max K(x) max angle_x + max K(y) max angle_y + max K(z) max angle_z)
          / (2 pi min area),
 
-with the minimum area taken at the lower corner, the K maxima at the
-upper edges (K is non-decreasing), and each angle maximum at one of two
-box corners depending on where 2x + y + z sits relative to pi.  The
+with the area at the lower corner, K at the upper edges and each angle at
+one of two corners.  Three short proofs give these rules; s = x + y + z is
+below pi, as three tangent caps bound a triangle iff s < pi.
+
+- area: by L'Huilier, tan(E/4) = sqrt(tan(s/2) tan(x/2) tan(y/2) tan(z/2)),
+  and every factor rises in every radius;
+- K: below alpha_zero it is 2 pi (1 - ((rho^2 - 1)(c + 1) + 4) / (4 rho)),
+  c = cos(alpha + arccos(1/rho)) falling in alpha (both angles < pi/2), so
+  it rises, as does the plain branch 2 pi (1 - cos alpha), met at alpha_zero;
+- angle: the angle A at x has tan^2(A/2) = sin y sin z / (sin x sin s),
+  d/dx (sin x sin s) = sin(2x + y + z) and d/dy log tan^2(A/2) =
+  cot y - cot s > 0 (y < s < pi), so A falls then rises in x, with the sign
+  of -sin(2x + y + z), and rises in y and z: over a box it is largest at the
+  upper y and z and the lower x, the upper x or the larger of the two.
+
+tests/test_mp_oracle.py checks these identities at 60 digits.  The
 maximum of this bound over every grid box of the symmetry-reduced tiling
 {a <= b <= c}, multiplied by 8 rho / (-rho^2 + 4 rho - 3), is a certified
 upper bound on the average degree of three-dimensional ball packings.
@@ -18,15 +31,14 @@ The scan finds that maximum without evaluating every grid box.  It bounds
 aligned boxes of side m grid steps (m a power of two) by the same
 estimate, read from the same tables of grid edges, so a coarse box and
 the grid boxes inside it share their corner values bit for bit.  Each
-factor of the estimate is an exact extremum over the box (area and K are
-monotone, and the angle is monotone in the other two radii and unimodal
-in its own), so on a sub-box it can only improve: a grid box's bound never
-exceeds the bound of a box containing it.  The scan bisects top-level
-boxes depth first and drops a box whose bound, raised by a relative
-margin of 1e-12, is below the bound of a grid box already evaluated; no
-grid box inside it can hold the maximum.  The box that does is never
-dropped, so max_box_bound equals the maximum over every grid box bit for
-bit, and boxes_checked counts every grid box, evaluated or dropped.
+factor of the estimate is an exact extremum over the box, so on a sub-box
+it can only improve: a grid box's bound never exceeds the bound of a box
+containing it.  The scan bisects top-level boxes depth first and drops a
+box whose bound, raised by a relative margin of 1e-12, is below the bound
+of a grid box already evaluated; no grid box inside it can hold the
+maximum.  The box that does is never dropped, so max_box_bound equals the
+maximum over every grid box bit for bit, and boxes_checked counts every
+grid box, evaluated or dropped.
 
 The scan is deterministic: slabs of top-level boxes go to the worker
 processes one at a time (`_parallel.ordered_map`; the workers inherit the
@@ -355,12 +367,17 @@ class _Checkpoint:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write text to `path.tmp`, then rename it over path: path holds
-    either its previous content or all of text, never a part of it."""
+    """Write text to `path.tmp`, then rename it over path: path holds its
+    previous content or all of text, and a failure leaves no path.tmp."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_checkpoint(path: str, fresh: _Checkpoint, slabs: int) -> _Checkpoint:

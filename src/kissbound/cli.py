@@ -84,7 +84,7 @@ def _report(
             key: value for key, value in sorted(vars(args).items()) if key != "func"
         },
         "version": __version__,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
         **extras,
     }
     if "output" in vars(args):
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         if "workers" in vars(args):  # optimize and certify
             try:

@@ -85,8 +85,8 @@ class Packing:
     of ends (2, m) are the tangent pairs in lexicographic order.  The
     arrays are read-only.  balls and edges give the same packing as Ball
     objects and int pairs, built on first access; equality and hashing go
-    over them.  The edges are found once, while the packing is validated,
-    so build a Packing with packing_from_balls or load_packing.
+    over them.  load_packing, packing_from_balls and fcc_fragment build it
+    from arrays, finding the edges once, while the packing is validated.
     """
 
     centers: np.ndarray
@@ -155,16 +155,14 @@ def packing_from_balls(
 ) -> Packing:
     """Validate non-overlap, find the contact edges and build a Packing.
 
-    Raises OverlapError naming the first offending pair (lexicographic)
-    and its penetration depth.
+    Its balls are read back from the arrays: Ball((0, 0, 0), 1) as the
+    equal Ball((0.0, 0.0, 0.0), 1.0).  Raises OverlapError naming the
+    first offending pair (lexicographic) and its penetration depth.
     """
-    balls = tuple(balls)
+    balls = tuple(balls)  # read twice: an iterator would leave the radii empty
     centers = np.array([b.center for b in balls], dtype=np.float64).reshape(-1, 3)
     radii = np.array([b.radius for b in balls], dtype=np.float64)
-    packing = _packing(centers, radii, tolerance)
-    # the caller's balls, as given: Ball((0, 0, 0), 1) keeps its ints
-    packing.__dict__["balls"] = balls
-    return packing
+    return _packing(centers, radii, tolerance)
 
 
 def _packing(centers: np.ndarray, radii: np.ndarray, tolerance: float) -> Packing:
@@ -344,10 +342,7 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
 
 
 def contact_graph(packing: Packing) -> ContactGraph:
-    """Tangency graph: edge (i, j) iff |dist - (ri + rj)| <= tol (ri + rj).
-
-    The edges are the ones packing_from_balls found during validation.
-    """
+    """Tangency graph: edge (i, j) iff |dist - (ri + rj)| <= tol (ri + rj)."""
     return ContactGraph(vertex_count=len(packing), edges=packing.edges)
 
 
@@ -360,20 +355,14 @@ def fcc_fragment(n: int) -> Packing:
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"shell count must be an integer of at least 1, got {n!r}")
-    limit = 2 * n
-    reach = int(math.isqrt(limit))
-    scale = math.sqrt(2.0)
-    balls = []
-    for i in range(-reach, reach + 1):
-        for j in range(-reach, reach + 1):
-            for k in range(-reach, reach + 1):
-                if (i + j + k) % 2 != 0:
-                    continue
-                if i * i + j * j + k * k > limit:
-                    continue
-                balls.append(Ball(center=(i * scale, j * scale, k * scale), radius=1.0))
-    balls.sort(key=lambda b: (sum(v * v for v in b.center), b.center))
-    return packing_from_balls(balls)
+    reach = math.isqrt(2 * n)
+    sites = np.array(list(itertools.product(range(-reach, reach + 1), repeat=3)))
+    sites = sites[(sites.sum(axis=1) % 2 == 0) & ((sites * sites).sum(axis=1) <= 2 * n)]
+    centers = sites * math.sqrt(2.0)
+    # by the rounded squared norm, summed x, y, z in order, then by center
+    x, y, z = centers.T
+    centers = centers[np.lexsort((z, y, x, x * x + y * y + z * z))]
+    return _packing(centers, np.ones(len(centers)), DEFAULT_TOLERANCE)
 
 
 @dataclass(frozen=True)
@@ -432,15 +421,14 @@ def coverage_audit(
         )
     per_ball_ok: bool | None = None
     if max_density_ref is not None:
-        per_ball_ok = True
-        limit = max_density_ref + DENSITY_MARGIN
-        for index, _, value in rows:
-            if value > limit:
-                per_ball_ok = False
-                violations.append(
-                    f"ball {index} coverage sum {value!r} exceeds "
-                    f"max density {max_density_ref!r} + {DENSITY_MARGIN!r}"
-                )
+        over = np.flatnonzero(sums > max_density_ref + DENSITY_MARGIN).tolist()
+        per_ball_ok = not over
+        # the row's Python float: a numpy scalar's repr differs
+        violations.extend(
+            f"ball {index} coverage sum {rows[index][2]!r} exceeds "
+            f"max density {max_density_ref!r} + {DENSITY_MARGIN!r}"
+            for index in over
+        )
     return CoverageAudit(
         rho=rho,
         tolerance=packing.tolerance,

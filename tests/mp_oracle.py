@@ -24,9 +24,21 @@ def alpha_zero(rho):
 @_at_dps
 def K(rho, alpha):
     """Area of the coverage cap whose auxiliary cap has radius alpha."""
+    if mp.mpf(alpha) >= alpha_zero(rho):
+        return K_plain(alpha)
+    return K_cone(rho, alpha)
+
+
+@_at_dps
+def K_plain(alpha):
+    """K's branch from alpha_zero up: the area of the auxiliary cap itself."""
+    return 2 * mp.pi * (1 - mp.cos(mp.mpf(alpha)))
+
+
+@_at_dps
+def K_cone(rho, alpha):
+    """K's branch below alpha_zero, where the auxiliary cap is a cone cap."""
     rho, alpha = mp.mpf(rho), mp.mpf(alpha)
-    if alpha >= alpha_zero(rho):
-        return 2 * mp.pi * (1 - mp.cos(alpha))
     cone_cos = mp.cos(alpha) / rho - mp.sqrt(1 - 1 / rho**2) * mp.sin(alpha)
     return 2 * mp.pi * (1 - ((rho**2 - 1) * (cone_cos + 1) + 4) / (4 * rho))
 

@@ -402,6 +402,26 @@ class TestCertify:
         assert sidecar(out_path)["configuration"]["target"] == 13.9
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.txt", "cert.txt.meta.json"]
 
+    def test_failed_rename_keeps_the_old_certificate_and_no_temporary(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        out_path = tmp_path / "cert.txt"
+        argv = ["certify", "--rho", "1.755", "--delta", "0.01", "--workers", "1",
+                "--output", str(out_path)]
+        code, _, _ = run(capsys, *argv, "--target", "14.9")
+        assert code == 0
+        before = out_path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(certifier_module.os, "replace", failing_replace)
+        code, out, err = run(capsys, *argv, "--target", "13.9")
+        assert code == 3
+        assert "No space left on device" in err and "Traceback" not in err
+        assert out_path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.txt", "cert.txt.meta.json"]
+
     def test_fail_exit_one(self, capsys, tmp_path):
         out_path = str(tmp_path / "cert.txt")
         code, out, _ = run(

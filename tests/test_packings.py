@@ -595,13 +595,19 @@ class TestPackingArrays:
         assert not any(getattr(copy, name).flags.writeable for name in ("centers", "radii", "ends"))
 
     def test_packing_from_balls_keeps_the_callers_balls(self):
+        # read back from the arrays: equal to the caller's, ints as floats
         balls = [Ball((0, 0, 0), 1), Ball((2, 0, 0), 1)]
         packing = packing_from_balls(balls)
-        assert all(packing.balls[i] is balls[i] for i in range(2))
+        assert packing.balls == tuple(balls)
+        assert packing.balls[0] == Ball((0.0, 0.0, 0.0), 1.0)
+        assert type(packing.balls[0].radius) is float
         assert packing.edges == ((0, 1),)
         assert packing == load_packing(read("two_balls.json"))
+        assert packing_from_balls(iter(balls)) == packing
 
-    @pytest.mark.parametrize("source", ["fcc_n2.json", "fcc_fragment_6"])
+    @pytest.mark.parametrize(
+        "source", ["fcc_n2.json", "fcc_fragment_6", "fcc_fragment_6_direct"]
+    )
     def test_graph_pass_builds_no_ball(self, monkeypatch, source):
         if source == "fcc_n2.json":
             document = read(source)
@@ -616,7 +622,8 @@ class TestPackingArrays:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(packings, "Ball", CountingBall)
-        packing = load_packing(document)
+        # the direct case builds the fixture itself under the counter
+        packing = fcc_fragment(6) if source.endswith("direct") else load_packing(document)
         edges = contact_graph(packing).edges
         audit_to_csv(coverage_audit(packing, 1.755))
         assert built == []
@@ -775,6 +782,25 @@ class TestCoverageAudit:
     def test_domain(self):
         with pytest.raises(DomainError):
             coverage_audit(fcc_fragment(1), 3.5)
+
+    def test_per_ball_violations_in_index_order(self):
+        packing = fcc_fragment(2)
+        sums = [value for _, _, value in coverage_audit(packing, 1.755).rows]
+        # a reference that some sums exceed while others sit exactly on the limit
+        reference = sorted(sums)[len(sums) // 2] - packings.DENSITY_MARGIN
+        audit = coverage_audit(packing, 1.755, max_density_ref=reference)
+        limit = reference + packings.DENSITY_MARGIN
+        expected = tuple(
+            f"ball {index} coverage sum {value!r} exceeds "
+            f"max density {reference!r} + {packings.DENSITY_MARGIN!r}"
+            for index, value in enumerate(sums)
+            if value > limit
+        )
+        assert 0 < len(expected) < len(sums) and limit in sums
+        assert audit.per_ball_ok is False
+        assert audit.violations == expected
+        assert "np.float64" not in "".join(audit.violations)
+        assert coverage_audit(packing, 1.755, max_density_ref=max(sums)).per_ball_ok is True
 
     @pytest.mark.parametrize("reference", [math.nan, math.inf])
     def test_non_finite_density_reference_rejected(self, reference):
