@@ -110,9 +110,8 @@ class Packing:
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         # one int object per ball, shared by all of its edges
-        label = list(range(len(self))).__getitem__
-        i, j = self.ends.tolist()
-        return tuple(zip(map(label, i), map(label, j)))
+        i, j = np.array(range(len(self)), dtype=object)[self.ends].tolist()
+        return tuple(zip(i, j))
 
     def _key(self) -> tuple:
         return self.balls, self.edges, self.tolerance
@@ -182,21 +181,25 @@ def _packing(centers: np.ndarray, radii: np.ndarray, tolerance: float) -> Packin
     smallest = float(radii.min(initial=math.inf))
     if not smallest >= 1.0 / MAX_MAGNITUDE:
         raise DomainError(f"radii must be at least {1.0 / MAX_MAGNITUDE:g}, got {smallest!r}")
-    overlaps = []
-    hits = [np.zeros((2, 0), dtype=np.intp)]
+    # the pair i < j < n is the key i n + j, in (i, j) order; n n fits an int64 for n <= 3.0e9
+    n = len(radii)
+    keys, first = [np.zeros(0, dtype=np.intp)], (n * n, 0.0)
     for i, j, dist in _close_pairs(centers, radii, tolerance):
-        radius_sum = radii[i] + radii[j]
+        radius_sum, key = radii[i] + radii[j], i * n + j
         bad = dist < radius_sum * (1.0 - tolerance)
-        # search order is not index order: keep each batch's lexicographic first
-        overlaps += sorted(zip(i[bad].tolist(), j[bad].tolist(), dist[bad].tolist()))[:1]
-        hit = _tangent_mask(dist, radius_sum, tolerance)
-        hits.append(np.stack((i[hit], j[hit])))
-    if overlaps:
-        i, j, dist = min(overlaps)
-        raise OverlapError(i, j, float(radii[i] + radii[j] - dist))
-    ends = np.concatenate(hits, axis=1)
-    # lexsort's last key is the primary one: by i, then by j
-    ends = ends[:, np.lexsort(ends[::-1])]
+        if bad.any():
+            # search order is not index order: the overlap named is the first key's
+            at = np.argmin(np.where(bad, key, n * n))
+            first = min(first, (int(key[at]), float(dist[at])))
+        keys.append(key[_tangent_mask(dist, radius_sum, tolerance)])
+    if first[0] < n * n:
+        i, j = divmod(first[0], n)
+        raise OverlapError(i, j, float(radii[i] + radii[j] - first[1]))
+    key = np.concatenate(keys)
+    key.sort()
+    # pair by pair in memory, so coverage_audit's ends.T is a view, not a copy
+    ends = np.empty((len(key), 2), dtype=np.intp).T
+    np.divmod(key, max(n, 1), out=(ends[0], ends[1]))
     return Packing(centers=centers, radii=radii, ends=ends, tolerance=tolerance)
 
 
@@ -336,7 +339,8 @@ def _close_pairs(centers: np.ndarray, radii: np.ndarray, tol: float):
                 k = np.repeat(q, np.minimum(offsets[q + 1], end) - np.maximum(offsets[q], start))
                 a, c = queries[k], grid[first[k] + np.arange(start, end) - offsets[k]]
                 keep = ~same[k] | (a < c)
-                i, j = np.minimum(a[keep], c[keep]), np.maximum(a[keep], c[keep])
+                a, c = a[keep], c[keep]
+                i, j = np.minimum(a, c), np.maximum(a, c)
                 dx, dy, dz = x[j] - x[i], y[j] - y[i], z[j] - z[i]
                 yield i, j, np.sqrt(dx * dx + dy * dy + dz * dz)
 
@@ -448,7 +452,5 @@ AUDIT_CSV_HEADER = "ball_index,degree,coverage_sum"
 
 def audit_to_csv(audit: CoverageAudit) -> str:
     lines = [AUDIT_CSV_HEADER]
-    lines.extend(
-        f"{index},{degree},{value:.12g}" for index, degree, value in audit.rows
-    )
+    lines.extend(map("%d,%d,%.12g".__mod__, audit.rows))
     return "\n".join(lines) + "\n"

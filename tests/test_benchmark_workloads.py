@@ -2,13 +2,33 @@
 held to the workload's own output check, so a change that breaks what the
 benchmark runs fails here and not only when the benchmark is run."""
 
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
 
+from kissbound import coverage_audit, load_packing
+from kissbound.cli import main
+from kissbound.packings import audit_to_csv
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = ["certify", "graph_lattice", "graph_wide", "sweep"]
+# sha256 of each graph workload's outputs at seed 1: the contact-graph ends
+# as little-endian int64 bytes, the audit CSV at rho 1.755, and the stdout
+# of `kissbound graph --rho 1.755`
+GRAPH_DIGESTS = {
+    "graph_lattice": (
+        "fdfab7ff1d5701f09eae7952225041753c73a084dd51772644f1abf6551d02b9",
+        "17924266ad0b00f9e7aaacbbe62cf5283d1e2cf2eb03e595931244b5aaf28ceb",
+        "aa9d179e644708a77854842ba321affe28dfc96d21220fc45971b44ad3059d27",
+    ),
+    "graph_wide": (
+        "8c38c2073f1a89357dc5fa569f2bd41442933d712e5b3c201a3e9b8067749a1a",
+        "cda6fc8a749c706bdc95e4fbff133799d2a6d0d2d5116b23814e7d41ed67561b",
+        "78bb61a6af14dfe590f9ad794397023822008f029aeeb8d6b9ececc7ac0ae6e3",
+    ),
+}
 
 
 @pytest.fixture
@@ -31,3 +51,18 @@ def test_one_pass_passes_its_check(workloads, tmp_path, name):
     output, layers = workload.run()
     assert layers is None
     assert workload.check(output) == []
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_DIGESTS))
+def test_graph_outputs_keep_their_bytes(workloads, tmp_path, capsys, name):
+    document = workloads.WORKLOADS[name](1, str(tmp_path)).document
+    packing = load_packing(document)
+    path = tmp_path / "packing.json"
+    path.write_text(document, encoding="utf-8")
+    assert main(["graph", str(path), "--rho", "1.755"]) == 0
+    outputs = (
+        packing.ends.astype("<i8").tobytes(),
+        audit_to_csv(coverage_audit(packing, 1.755)).encode(),
+        capsys.readouterr().out.encode(),
+    )
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == GRAPH_DIGESTS[name]

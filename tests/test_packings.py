@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -5,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kissbound import (
@@ -579,6 +580,13 @@ class TestPackingArrays:
         assert packing.ends.T.tolist() == [list(edge) for edge in packing.edges]
         assert all(type(v) is int for edge in packing.edges for v in edge)
 
+    @pytest.mark.parametrize("shells", [2, 20])
+    def test_edges_share_one_int_per_ball(self, shells):
+        # 20 shells hold 555 balls, past the ints that CPython caches
+        packing = fcc_fragment(shells)
+        labels = {id(v) for edge in packing.edges for v in edge}
+        assert 0 < len(labels) <= len(packing)
+
     @pytest.mark.parametrize("name", ["centers", "radii", "ends"])
     def test_arrays_read_only(self, name):
         for packing in (load_packing(read("fcc_n2.json")), fcc_fragment(1)):
@@ -647,6 +655,7 @@ class TestPackingArrays:
     def test_fewer_than_two_balls(self, document, rows, csv):
         packing = load_packing(document)
         assert packing.centers.shape == (len(rows), 3) and packing.ends.shape == (2, 0)
+        assert packing.ends.dtype == np.intp
         assert contact_graph(packing).edges == packing.edges == ()
         audit = coverage_audit(packing, 1.755)
         assert audit.rows == rows and audit.edge_count == 0 and audit.edge_sum_ok
@@ -778,6 +787,35 @@ class TestCoverageAudit:
         assert index == "0"
         assert degree == "12"
         assert float(value) > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(), st.integers(min_value=-(10**40), max_value=10**40))
+    @example(math.nan, 2**63)
+    @example(math.inf, -(2**63))
+    @example(-math.inf, 0)
+    @example(-0.0, 10**30)
+    @example(5e-324, -1)
+    @example(2.2250738585072014e-308 / 3, 1)
+    def test_percent_format_matches_format(self, value, integer):
+        assert "%.12g" % value == format(value, ".12g")
+        assert "%d" % integer == str(integer)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**12),
+                st.integers(min_value=0, max_value=10**12),
+                st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+            ),
+            max_size=20,
+        )
+    )
+    def test_csv_rows_read_as_formatted(self, rows):
+        audit = dataclasses.replace(coverage_audit(fcc_fragment(1), 1.755), rows=tuple(rows))
+        expected = [AUDIT_CSV_HEADER]
+        expected.extend(f"{index},{degree},{value:.12g}" for index, degree, value in rows)
+        assert audit_to_csv(audit) == "\n".join(expected) + "\n"
 
     def test_domain(self):
         with pytest.raises(DomainError):
