@@ -4,7 +4,6 @@ one ordered map that owns its pool's size and teardown."""
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 
 import numpy as np
@@ -53,5 +52,6 @@ def ordered_map(func, items, workers: int):
     if processes <= 1:
         yield map(func, items)
         return
+    import multiprocessing  # here: graph, highdim and an in-process sweep never fork
     with multiprocessing.get_context("fork").Pool(processes, _install, (func,)) as pool:
         yield pool.imap(_call, items, chunksize=1)

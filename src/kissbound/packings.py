@@ -9,15 +9,17 @@ relative tolerance (default 1e-9) because exact tangency is not
 representable for irrational configurations; the tolerance used is
 recorded in every report.  A Packing holds arrays: the centers, the radii
 and the two ends of every contact edge; its balls and edges, as Ball
-objects and int pairs, are built on first access.  The contact edges are
-found once, while the packing is validated: one pair search on a
-multilevel cell grid, binned by radius class, measures every candidate
-pair for the overlap check and keeps the tangent ones, and the contact
-graph and the coverage audit read them from the Packing.  A class is a
-run of the sorted radii, split at every power of two and wherever one
-radius exceeds the next smaller by more than 2^(1/4), so a lone large
-ball gets a grid of its own.  A space-filling packing gives about 30
-candidates per ball; radii spread over L classes cost O(n L).
+objects and int pairs, are built on first access.  Parsing builds a dict
+and a list per ball, edges a tuple per edge and the audit a row per ball;
+these acyclic builds run with the cyclic garbage collector paused.  The
+contact edges are found once, while the packing is validated: one pair
+search on a multilevel cell grid, binned by radius class, measures every
+candidate pair for the overlap check and keeps the tangent ones, and the
+contact graph and the coverage audit read them from the Packing.  A class
+is a run of the sorted radii, split at every power of two and wherever one
+radius exceeds the next smaller by more than 2^(1/4), so a lone large ball
+gets a grid of its own.  A space-filling packing gives about 30 candidates
+per ball; radii spread over L classes cost O(n L).
 
 The coverage audit makes the counting argument behind the average-degree
 bounds executable on a concrete packing: summed over the two ends of
@@ -29,7 +31,9 @@ density.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
@@ -71,6 +75,18 @@ _CLASS_GAP = 2.0**0.25
 MAX_MAGNITUDE = 1e150
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the block; back on if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class Ball:
     center: tuple[float, float, float]
@@ -105,13 +121,15 @@ class Packing:
 
     @functools.cached_property
     def balls(self) -> tuple[Ball, ...]:
-        return tuple(map(Ball, map(tuple, self.centers.tolist()), self.radii.tolist()))
+        with _collector_paused():
+            return tuple(map(Ball, map(tuple, self.centers.tolist()), self.radii.tolist()))
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         # one int object per ball, shared by all of its edges
-        i, j = np.array(range(len(self)), dtype=object)[self.ends].tolist()
-        return tuple(zip(i, j))
+        with _collector_paused():
+            i, j = np.array(range(len(self)), dtype=object)[self.ends].tolist()
+            return tuple(zip(i, j))
 
     def _key(self) -> tuple:
         return self.balls, self.edges, self.tolerance
@@ -205,41 +223,42 @@ def _packing(centers: np.ndarray, radii: np.ndarray, tolerance: float) -> Packin
 
 def load_packing(document: str, tolerance: float = DEFAULT_TOLERANCE) -> Packing:
     """Parse and validate a packing document (JSON text)."""
-    try:
-        # an integer beyond the double range parses as inf, as 1e400 does,
-        # not as an int that float() (or, past 4300 digits, json) rejects
-        data = json.loads(document, parse_int=float)
-    except json.JSONDecodeError as exc:
-        raise PackingParseError(
-            f"invalid packing document at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise PackingParseError("packing document nests too deeply") from exc
-    if not isinstance(data, dict) or "balls" not in data:
-        raise PackingParseError("packing document must be an object with a 'balls' list")
-    raw_balls = data["balls"]
-    if not isinstance(raw_balls, list):
-        raise PackingParseError("'balls' must be a list")
-    centers, radii = [], []
-    type_error = None
-    for index, item in enumerate(raw_balls):
-        if type(item) is not dict:
-            type_error = f"ball {index} must be an object"
-            break
-        center = item.get("center")
-        radius = item.get("radius")
-        # every JSON number parses as a float; true and false are bools
-        if type(center) is not list or len(center) != 3 or not (
-            type(center[0]) is type(center[1]) is type(center[2]) is float
-        ):
-            type_error = f"ball {index}: center must be [x, y, z]"
-            break
-        if type(radius) is not float:
-            type_error = f"ball {index}: radius must be a number"
-            break
-        centers.append(center)
-        radii.append(radius)
+    with _collector_paused():
+        try:
+            # an integer beyond the double range parses as inf, as 1e400 does,
+            # not as an int that float() (or, past 4300 digits, json) rejects
+            data = json.loads(document, parse_int=float)
+        except json.JSONDecodeError as exc:
+            raise PackingParseError(
+                f"invalid packing document at line {exc.lineno} column {exc.colno}: "
+                f"{exc.msg}"
+            ) from exc
+        except RecursionError as exc:
+            raise PackingParseError("packing document nests too deeply") from exc
+        if not isinstance(data, dict) or "balls" not in data:
+            raise PackingParseError("packing document must be an object with a 'balls' list")
+        raw_balls = data["balls"]
+        if not isinstance(raw_balls, list):
+            raise PackingParseError("'balls' must be a list")
+        centers, radii = [], []
+        type_error = None
+        for index, item in enumerate(raw_balls):
+            if type(item) is not dict:
+                type_error = f"ball {index} must be an object"
+                break
+            center = item.get("center")
+            radius = item.get("radius")
+            # every JSON number parses as a float; true and false are bools
+            if type(center) is not list or len(center) != 3 or not (
+                type(center[0]) is type(center[1]) is type(center[2]) is float
+            ):
+                type_error = f"ball {index}: center must be [x, y, z]"
+                break
+            if type(radius) is not float:
+                type_error = f"ball {index}: radius must be a number"
+                break
+            centers.append(center)
+            radii.append(radius)
     # the value checks of the balls before a type error come first
     n = len(radii)
     centers = np.fromiter(itertools.chain.from_iterable(centers), np.float64, 3 * n).reshape(n, 3)
@@ -415,7 +434,8 @@ def coverage_audit(
     # correctly rounded: a running sum drifts past the tolerance on large packings
     edge_sum = math.fsum(fractions.tolist())
     degrees = np.bincount(ends.ravel(), minlength=len(packing)).tolist()
-    rows = tuple(zip(range(len(packing)), degrees, sums.tolist()))
+    with _collector_paused():
+        rows = tuple(zip(range(len(packing)), degrees, sums.tolist()))
     floor = pair_sum_value(rho) * len(ends)
     edge_ok = edge_sum >= floor - 1e-12 * max(1.0, abs(floor))
     violations = []

@@ -626,12 +626,22 @@ class TestCsv:
         assert lines[1].endswith(",true")
 
 
-def test_import_does_not_load_scipy():
-    # scipy and mpmath are test dependencies only; importing the package
-    # must not pay for them
+def loaded_by_import(*modules):
+    """Whether a fresh `import kissbound` loads each of the modules."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(kissbound.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, kissbound; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
+    code = f"import sys, kissbound; print(*(m in sys.modules for m in {modules!r}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    return out.stdout.split()
+
+
+def test_import_does_not_load_scipy():
+    # scipy and mpmath are test dependencies only; importing the package
+    # must not pay for them
+    assert loaded_by_import("scipy", "mpmath") == ["False", "False"]
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a pool that forks needs it; graph, highdim and an in-process sweep never do
+    assert loaded_by_import("multiprocessing") == ["False"]

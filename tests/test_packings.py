@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +174,11 @@ def widest_pairs(rng, base, tolerance, count=200):
         x1, r1, x2, r2 = map(float, args)
         balls += [Ball((x1, 0.0, 0.0), r1), Ball((x2, 0.0, 0.0), r2)]
     return packing_from_balls(balls, tolerance)
+
+
+def fcc_document(shells):
+    balls = fcc_fragment(shells).balls
+    return json.dumps({"balls": [{"center": b.center, "radius": b.radius} for b in balls]})
 
 
 CENTER = "ball 0: center must be [x, y, z]"
@@ -617,11 +624,7 @@ class TestPackingArrays:
         "source", ["fcc_n2.json", "fcc_fragment_6", "fcc_fragment_6_direct"]
     )
     def test_graph_pass_builds_no_ball(self, monkeypatch, source):
-        if source == "fcc_n2.json":
-            document = read(source)
-        else:
-            balls = fcc_fragment(6).balls
-            document = json.dumps({"balls": [{"center": b.center, "radius": b.radius} for b in balls]})
+        document = read(source) if source == "fcc_n2.json" else fcc_document(6)
         built = []
 
         class CountingBall(Ball):
@@ -662,6 +665,71 @@ class TestPackingArrays:
         assert audit_to_csv(audit) == csv
         assert packing == packing_from_balls(packing.balls)
 
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector(request):
+    """The cyclic collector's state before the call; put back after the test."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+def collections_during(build):
+    """build()'s value and the generations of the collections it runs,
+    counted from a full collection, so that what runs depends on build()
+    alone."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        value = build()
+    finally:
+        gc.callbacks.remove(record)
+    return value, started
+
+
+class TestCollectorPause:
+    DEEP = '{"balls": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    # each call that pauses the collector, with the message it raises, if any
+    CALLS = {
+        "load": (lambda: load_packing(read("fcc_n2.json")), None),
+        "invalid_json": (lambda: load_packing('{"balls": ['), "invalid packing document"),
+        "too_deep": (lambda: load_packing(TestCollectorPause.DEEP), "nests too deeply"),
+        "non_object_ball": (lambda: load_packing('{"balls": [1]}'), "ball 0 must be an object"),
+        "bad_center": (lambda: load_packing('{"balls": [{"center": [0], "radius": 1}]}'), CENTER),
+        "edges": (lambda: fcc_fragment(2).edges, None),
+        "balls": (lambda: fcc_fragment(2).balls, None),
+        "audit": (lambda: coverage_audit(fcc_fragment(2), 1.755), None),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_collector_state_restored(self, collector, name):
+        call, message = self.CALLS[name]
+        if message is None:
+            call()
+        else:
+            with pytest.raises(PackingParseError, match=re.escape(message)):
+                call()
+        assert gc.isenabled() is collector
+
+    def test_edges_build_runs_no_collection_beyond_one_young(self):
+        # without the pause, these 7,992 edge tuples run 11 collections
+        packing = fcc_fragment(40)
+        edges, started = collections_during(lambda: packing.edges)
+        assert len(edges) == 7_992 and started in ([], [0])
+
+    def test_load_runs_no_collection_beyond_one_young(self):
+        # without the pause, parsing these 1,505 balls runs 4 collections
+        document = fcc_document(40)
+        packing, started = collections_during(lambda: load_packing(document))
+        assert len(packing) == 1_505 and started in ([], [0])
 
 class TestFccFragment:
     def test_one_shell_is_kissing_configuration(self):
