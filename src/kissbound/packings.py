@@ -121,8 +121,7 @@ class Packing:
 
     @functools.cached_property
     def balls(self) -> tuple[Ball, ...]:
-        with _collector_paused():
-            return tuple(map(Ball, map(tuple, self.centers.tolist()), self.radii.tolist()))
+        return tuple(map(Ball, map(tuple, self.centers.tolist()), self.radii.tolist()))
 
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -626,22 +626,16 @@ class TestCsv:
         assert lines[1].endswith(",true")
 
 
-def loaded_by_import(*modules):
-    """Whether a fresh `import kissbound` loads each of the modules."""
+def test_import_does_not_load_scipy():
+    # scipy and mpmath are test dependencies only; importing the package
+    # must not pay for them. multiprocessing is imported only where a pool
+    # forks: graph, highdim and an in-process sweep never do
     src = os.path.dirname(os.path.dirname(os.path.abspath(kissbound.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, kissbound; print(*(m in sys.modules for m in {modules!r}))"
+    code = (
+        "import sys, kissbound; "
+        "print('scipy' in sys.modules, 'mpmath' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
-
-
-def test_import_does_not_load_scipy():
-    # scipy and mpmath are test dependencies only; importing the package
-    # must not pay for them
-    assert loaded_by_import("scipy", "mpmath") == ["False", "False"]
-
-
-def test_import_does_not_load_multiprocessing():
-    # only a pool that forks needs it; graph, highdim and an in-process sweep never do
-    assert loaded_by_import("multiprocessing") == ["False"]
+    assert out.stdout.split() == ["False", "False", "False"]

@@ -705,7 +705,6 @@ class TestCollectorPause:
         "non_object_ball": (lambda: load_packing('{"balls": [1]}'), "ball 0 must be an object"),
         "bad_center": (lambda: load_packing('{"balls": [{"center": [0], "radius": 1}]}'), CENTER),
         "edges": (lambda: fcc_fragment(2).edges, None),
-        "balls": (lambda: fcc_fragment(2).balls, None),
         "audit": (lambda: coverage_audit(fcc_fragment(2), 1.755), None),
     }
 
