@@ -55,10 +55,6 @@ def _checked_acos_arg(value: float) -> float:
     return value
 
 
-def _safe_acos(value: float) -> float:
-    return math.acos(min(max(_checked_acos_arg(value), -1.0), 1.0))
-
-
 @dataclass(frozen=True)
 class RhoGeometry:
     """All constants derived from one inflation ratio rho in (1, 3).
@@ -205,9 +201,11 @@ def aux_cap_radius(rho: float, r1: float, r2: float) -> float:
 
         arccos((r1 - r2) / (r1 + r2)) - arccos(1 / rho),
 
-    which still contains the actual cap.  The result always lies in
-    [alpha_min, alpha_max); a radius below alpha_min would correspond to a
-    tangent ball too small to reach S_rho(B1) at all and raises DomainError.
+    which still contains the actual cap.  Both arccos arguments lie in
+    [-1, 1] unclamped: cap_radius_cos is positive and clamped to at most 1,
+    and |fl(r1 - r2)| <= fl(r1 + r2) because rounding is monotone.
+    The result lies in [alpha_min, alpha_max).  A tangent ball too small to
+    reach S_rho(B1) at all, and radii whose sum overflows, raise DomainError.
     """
     _check_pair_args(rho, r1, r2)
     if r2 < min_nonempty_radius(rho, r1):
@@ -216,8 +214,10 @@ def aux_cap_radius(rho: float, r1: float, r2: float) -> float:
             f"(needs at least {min_nonempty_radius(rho, r1)!r})"
         )
     if r2 >= aux_cap_threshold_radius(rho, r1):
-        return _safe_acos(cap_radius_cos(rho, r1, r2))
-    return _safe_acos((r1 - r2) / (r1 + r2)) - math.acos(1.0 / rho)
+        return math.acos(cap_radius_cos(rho, r1, r2))
+    if not r1 + r2 < math.inf:
+        raise DomainError(f"ball radii overflow r1 + r2, got r1={r1!r}, r2={r2!r}")
+    return math.acos((r1 - r2) / (r1 + r2)) - math.acos(1.0 / rho)
 
 
 def cap_area_K(geom: RhoGeometry, alpha: float) -> float:

@@ -7,6 +7,27 @@ import pytest
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
+def simd_extensions():
+    """numpy's SIMD Extensions entry (baseline, found, not found) for this
+    process, or None where np.show_config takes no mode."""
+    try:
+        return np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):
+        return None
+
+
+def pytest_report_header(config):
+    # arccos bits, and so some pinned results, depend on numpy's SIMD path
+    simd = simd_extensions()
+    return f"numpy {np.__version__}" + ("" if simd is None else f", SIMD Extensions {simd}")
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q hides the report header; the path still goes into the log
+    if config.option.verbose < 0:
+        terminalreporter.write_line(pytest_report_header(config))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

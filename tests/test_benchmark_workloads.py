@@ -3,14 +3,19 @@ held to the workload's own output check, so a change that breaks what the
 benchmark runs fails here and not only when the benchmark is run."""
 
 import hashlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import kissbound
 from kissbound import coverage_audit, load_packing
 from kissbound.cli import main
 from kissbound.packings import audit_to_csv
+
+from conftest import simd_extensions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 NAMES = ["certify", "graph_lattice", "graph_wide", "sweep"]
@@ -66,3 +71,25 @@ def test_graph_outputs_keep_their_bytes(workloads, tmp_path, capsys, name):
         capsys.readouterr().out.encode(),
     )
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == GRAPH_DIGESTS[name]
+
+
+def test_certificate_bytes_do_not_depend_on_simd_path(workloads):
+    # numpy picks its kernels per process; NPY_DISABLE_CPU_FEATURES switches
+    # sets of them off, from the top set down to the baseline alone, and the
+    # certify workload's certificate must keep its bytes under each
+    found = (simd_extensions() or {}).get("found")
+    if not found:
+        pytest.skip("numpy reports no SIMD extensions above its baseline")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kissbound.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, kissbound as kb; "
+        "sys.stdout.write(kb.emit_certificate(kb.certify(1.755, 0.002, 14.5)))"
+    )
+    for top in reversed(range(len(found))):
+        disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found[top:]])
+        env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=disabled.strip())
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == workloads.EXPECTED_CERTIFICATE, f"with {found[top:]} switched off"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kissbound import (
@@ -257,6 +257,31 @@ class TestAuxCapRadius:
             r2 = rng.uniform(min_nonempty_radius(rho, r1), 20.0 * r1)
             value = aux_cap_radius(rho, r1, r2)
             assert g.alpha_min - 1e-12 <= value < g.alpha_max
+
+    @given(
+        st.floats(1.05, 2.95),
+        st.floats(1.0, 2.0),
+        st.floats(0.01, 40.0),
+        st.integers(-498, 1023),
+    )
+    # cone branch with r1 + r2 = inf: arccos(0) would give pi/6, not 0.2108
+    @example(2.0, 1.7, 0.9, 1023)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_range_invariant_at_any_scale(self, rho, r1, r2, k):
+        # radii from 1e-152 to past the overflow limit: a radius pair scaled
+        # by 2^k keeps its bits and its range, or raises DomainError because
+        # it was out of range unscaled or its sum overflows
+        g = rho_geometry(rho)
+        big1, big2 = r1 * 2.0**k, r2 * 2.0**k
+        try:
+            value = aux_cap_radius(rho, big1, big2)
+        except DomainError:
+            if 2.0 * rho * (big1 + big2) < math.inf:
+                with pytest.raises(DomainError):
+                    aux_cap_radius(rho, r1, r2)
+            return
+        assert value == aux_cap_radius(rho, r1, r2)
+        assert g.alpha_min - 1e-12 <= value < g.alpha_max
 
     def test_too_small_ball(self):
         with pytest.raises(DomainError):

@@ -30,6 +30,7 @@ from kissbound._kernels import (
     triangle_excess_vec,
     triangle_angles_vec,
 )
+from kissbound import _kernels
 from kissbound import certifier as certifier_module
 from kissbound.certifier import _Checkpoint, _GridScan, _emit, _parse
 
@@ -99,6 +100,24 @@ class TestBoxAngleUpper:
     def test_box_outside_domain(self):
         with pytest.raises(DomainError):
             box_angle_upper(GEOM, Box(0.01, 0.3, 0.3, 0.01), "x")
+
+    @pytest.mark.parametrize("rho", [1.001, 1.05, 1.3, 1.755, 1.95, 2.0, 2.5, 2.9])
+    def test_scan_arguments_stay_below_one(self, monkeypatch, rho):
+        # angle_upper_at only clips its arguments: a scan's law-of-cosines
+        # argument at 1 or above would be rounding, and would clip to angle
+        # 0; rho 1.001's interval is narrow, so its grid takes 400 steps
+        largest = []
+        angle_arg = _kernels._angle_arg
+
+        def recorded(*args, out=None):
+            arg = angle_arg(*args, out=out)
+            largest.append(np.max(arg, initial=-np.inf))
+            return arg
+
+        monkeypatch.setattr(_kernels, "_angle_arg", recorded)
+        delta = rho_geometry(rho).interval_width / 400 if rho < 1.01 else 0.004
+        certify(rho, delta, 1e9, workers=1)
+        assert largest and all(value < 1.0 for value in largest)
 
     @pytest.mark.parametrize("side", [math.nan, 0.0, -0.01])
     def test_side_not_positive_rejected(self, side):
