@@ -114,7 +114,7 @@ def _box_edges(geom: RhoGeometry, box: Box):
 def box_angle_upper(geom: RhoGeometry, box: Box, axis: str) -> float:
     """Upper bound for one vertex angle of the cap triangle over the box.
 
-    A corner whose caps close no triangle (x + y + z > pi) yields pi.
+    Degenerate corner configurations yield the conservative worst case pi.
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")

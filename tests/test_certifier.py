@@ -27,12 +27,15 @@ from kissbound._kernels import (
     K_vec,
     box_density_upper_vec,
     density_vec,
+    triangle_args_vec,
     triangle_excess_vec,
     triangle_angles_vec,
 )
 from kissbound import _kernels
 from kissbound import certifier as certifier_module
 from kissbound.certifier import _Checkpoint, _GridScan, _emit, _parse
+
+import mp_oracle
 
 RHO = 1.755
 GEOM = rho_geometry(RHO)
@@ -103,9 +106,9 @@ class TestBoxAngleUpper:
 
     @pytest.mark.parametrize("rho", [1.001, 1.05, 1.3, 1.755, 1.95, 2.0, 2.5, 2.9])
     def test_scan_arguments_stay_below_one(self, monkeypatch, rho):
-        # angle_upper_at only clips its arguments: a scan's law-of-cosines
-        # argument at 1 or above would be rounding, and would clip to angle
-        # 0; rho 1.001's interval is narrow, so its grid takes 400 steps
+        # every law-of-cosines argument of these scans stays below 1, so
+        # _angle_upper's guard, which rounding trips below rho = 1 + 5e-6,
+        # is not what bounds them; rho 1.001's grid takes 400 steps
         largest = []
         angle_arg = _kernels._angle_arg
 
@@ -118,6 +121,33 @@ class TestBoxAngleUpper:
         delta = rho_geometry(rho).interval_width / 400 if rho < 1.01 else 0.004
         certify(rho, delta, 1e9, workers=1)
         assert largest and all(value < 1.0 for value in largest)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            Box(
+                2.447194218417494e-04,
+                3.4114029062308395e-08,
+                2.436816898684815e-11,
+                1.2738784573774427e-10,
+            ),
+            Box(
+                2.448809625627691e-04,
+                1.8013426081420334e-09,
+                1.1530313415128685e-09,
+                2.4552976181909917e-09,
+            ),
+        ],
+    )
+    def test_rounded_argument_past_guard_gives_pi(self, box):
+        # at rho = 1 + 3e-8 the sides are tiny and the law of cosines rounds
+        # this corner's argument past 1 + ANGLE_GUARD, though its true angle
+        # is positive: the bound must be pi, not the clip's arccos(1) = 0
+        geom = rho_geometry(1.0 + 3e-8)
+        corner = [np.float64(v) for v in (box.a, box.b + box.delta, box.c + box.delta)]
+        assert triangle_args_vec(*corner)[0] > 1.0 + _kernels.ANGLE_GUARD
+        assert mp_oracle.vertex_angle(*corner) > 0.0
+        assert box_angle_upper(geom, box, "x") == math.pi
 
     @pytest.mark.parametrize("side", [math.nan, 0.0, -0.01])
     def test_side_not_positive_rejected(self, side):

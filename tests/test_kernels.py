@@ -105,7 +105,7 @@ def per_axis_angle_upper(lo_own, lo_o1, lo_o2, up_own, up_o1, up_o2):
         cos_xz, sin_xz = _trig_of_sum(x, z)
         cos_xy, sin_xy = _trig_of_sum(x, y)
         arg = _angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy)
-        return np.arccos(np.clip(arg, -1.0, 1.0))
+        return np.where(arg > 1.0 + ANGLE_GUARD, PI, np.arccos(np.clip(arg, -1.0, 1.0)))
 
     s_lo = 2.0 * lo_own + lo_o1 + lo_o2
     s_hi = 2.0 * up_own + up_o1 + up_o2
