@@ -2,7 +2,7 @@
 
 Each stage of the density D and of its box bound is written once here:
 the law-of-cosines arguments, their arccos (checked in `angles_of_args`,
-conservative in `_angle_upper`), the angular excess, the cap area K, the
+clipped in `angle_upper_at`), the angular excess, the cap area K, the
 2x + y + z vs pi corner rule and the quotient (`_density_quotient`).
 Every path runs on them: the grid scan, the `Box` API, the density search
 (through `density_vec`) and the scalar API (`caps.triangle_angles`,
@@ -16,8 +16,9 @@ angles and the lower corner's area) and 3 more, the all-high triangle,
 only on the boxes where the corner rule can pick that corner.
 
 Invalid spherical-triangle configurations are handled in the direction
-that keeps box bounds sound: angle upper bounds degrade to pi, area lower
-bounds degrade to NaN, which the box bound turns into +inf.
+that keeps box bounds sound: an angle argument below -1 clips to pi, area
+lower bounds degrade to NaN, which the box bound turns into +inf; no box
+of a ratio `caps.rho_geometry` accepts reads an argument above 1.
 """
 
 from __future__ import annotations
@@ -134,21 +135,15 @@ def density_vec(geom: RhoGeometry, x, y, z):
     return _density_quotient(K_vec(geom, radii), angles, excess_vec(angles, valid), np.nan)
 
 
-def _angle_upper(args):
-    """Angles of raw arccos arguments for upper bounds: an argument beyond
-    1 + ANGLE_GUARD gives the worst case pi, one below -1 clips to pi.
-    Exactly, no argument exceeds 1 (sides in (0, pi), y + z >= |z - y|),
-    but rounding on tiny sides does: 1 + 1e-5 at rho = 1 + 3e-8."""
-    angles = np.arccos(np.clip(args, -1.0, 1.0))
-    return np.where(args > 1.0 + ANGLE_GUARD, PI, angles)
-
-
 def angle_upper_at(x, y, z, pair=_trig_of_sum):
-    """Vertex angle at the cap of radius x, for upper bounds (`_angle_upper`)."""
+    """Vertex angle at the cap of radius x, for upper bounds: an argument
+    below -1 clips to the worst case pi.  Exactly, no argument exceeds 1
+    (sides in (0, pi), y + z >= |z - y|), and at ratios from `caps.RHO_MIN`
+    up none rounds past it."""
     cos_yz, _ = pair(y, z)
     cos_xz, sin_xz = pair(x, z)
     cos_xy, sin_xy = pair(x, y)
-    return _angle_upper(_angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy))
+    return np.arccos(np.clip(_angle_arg(cos_yz, cos_xz, cos_xy, sin_xz, sin_xy), -1.0, 1.0))
 
 
 def _doubled_sums(x, y, z):
@@ -182,7 +177,7 @@ def box_angles_upper_vec(a, b, c, ua, ub, uc, pair=_trig_of_sum, coord=_radius):
     if rest.size:
         a, b, c, ua, ub, uc = (np.take(v, rest) for v in (a, b, c, ua, ub, uc))
         high_only = _doubled_sums(*map(coord, (a, b, c))) >= PI
-        high = _angle_upper(triangle_args_vec(ua, ub, uc, pair))
+        high, _ = triangle_angles_vec(ua, ub, uc, pair)
         flat, low_only = angles.reshape(3, -1), low_only.reshape(3, -1)[:, rest]
         low = flat[:, rest]
         flat[:, rest] = np.where(low_only, low, np.where(high_only, high, np.maximum(low, high)))

@@ -47,6 +47,14 @@ __all__ = [
 # close to degenerate; anything beyond this guard is invalid geometry.
 ACOS_GUARD = 1e-12
 
+# The smallest ratio the cap geometry accepts.  Below about 1 + 1.1e-5,
+# cos(alpha_zero) rounds to within a few ulps of 1, so alpha_zero is 0
+# (below alpha_min) or about 2e-8, far from its exact value; below 1 + 5e-6
+# the law of cosines rounds past 1.  At 1 + 2^-13 the largest box argument,
+# at (alpha_max, alpha_min, alpha_min), is 1 - 1.8622e-9 (exactly 1 -
+# 1.8625e-9, about 1 - (rho - 1)^2 / 8).
+RHO_MIN = 1.0 + 2.0**-13
+
 
 def _checked_acos_arg(value: float) -> float:
     # NaN fails the test too: it comes from sides whose sines underflow
@@ -64,7 +72,8 @@ class RhoGeometry:
     cap is non-empty, and alpha_zero the threshold radius at which the
     auxiliary cap stops being a tangent cone cap and coincides with the
     actual cap.  0 < alpha_min <= alpha_zero <= alpha_max < pi/2 holds for
-    every rho in (1, 3), and all three angles tend to 0 as rho -> 1.
+    every rho in [RHO_MIN, 3), the ratios `rho_geometry` accepts, and all
+    three angles tend to 0 as rho -> 1.
     """
 
     rho: float
@@ -78,20 +87,13 @@ class RhoGeometry:
 
 
 def rho_geometry(rho: float) -> RhoGeometry:
-    """Build the RhoGeometry constants for an inflation ratio rho in (1, 3)."""
+    """Build the RhoGeometry constants for an inflation ratio rho in [RHO_MIN, 3)."""
     check_rho(rho)
+    if rho < RHO_MIN:
+        raise DomainError(f"inflation ratio {rho!r} is too close to 1: rho must be >= 1 + 2^-13")
     alpha_max = math.acos(1.0 / rho)
     alpha_min = math.acos((3.0 - rho) / (1.0 + rho)) - alpha_max
-    # within a few ulps of 1 this argument rounds above 1
-    zero_cos = (3.0 * rho * rho + 1.0) / (rho * (rho * rho + 3.0))
-    if not zero_cos <= 1.0:
-        raise DomainError(
-            f"inflation ratio {rho!r} is too close to 1: cos(alpha_zero) rounds above 1"
-        )
-    alpha_zero = math.acos(zero_cos)
-    # a few ulps above 1 the two arccos terms can also round to the same value
-    if not alpha_min > 0.0:
-        raise DomainError(f"inflation ratio {rho!r} is too close to 1: alpha_min rounds to 0")
+    alpha_zero = math.acos((3.0 * rho * rho + 1.0) / (rho * (rho * rho + 3.0)))
     return RhoGeometry(rho, alpha_min, alpha_zero, alpha_max)
 
 

@@ -18,7 +18,7 @@ from kissbound import (
     rho_geometry,
     triangle_angles,
 )
-from kissbound.caps import aux_cap_threshold_radius, min_nonempty_radius
+from kissbound.caps import RHO_MIN, aux_cap_threshold_radius, min_nonempty_radius
 
 from conftest import sample_nonempty_pairs
 
@@ -42,10 +42,25 @@ class TestRhoGeometry:
         assert 0.0 < g.alpha_min <= g.alpha_zero <= g.alpha_max < math.pi / 2.0
 
     def test_angles_vanish_as_rho_to_one(self):
-        g = rho_geometry(1.0 + 1e-6)
-        assert g.alpha_max < 2e-3
-        assert g.alpha_zero < 2e-3
-        assert g.alpha_min < 2e-3
+        # at the floor alpha_max is about sqrt(2 (rho - 1)) and the other two
+        # about (rho - 1)^(3/2)
+        g = rho_geometry(RHO_MIN)
+        assert g.alpha_max < 2e-2
+        assert g.alpha_zero < 2e-6
+        assert g.alpha_min < 2e-6
+
+    @pytest.mark.parametrize("rho", [1.0 + 3e-8, 1.0 + 1e-6, math.nextafter(RHO_MIN, 1.0)])
+    def test_ratios_below_the_floor_raise_domain_error(self, rho):
+        # without the floor the first two gave alpha_zero = 0, below
+        # alpha_min, and 2.1e-8, 30 times the exact value
+        with pytest.raises(DomainError, match="too close to 1"):
+            rho_geometry(rho)
+
+    def test_ordering_invariant_from_the_floor(self):
+        # the first ratio is RHO_MIN itself
+        for rho in 1.0 + np.geomspace(RHO_MIN - 1.0, 2.0 - 1e-9, 400):
+            g = rho_geometry(float(rho))
+            assert 0.0 < g.alpha_min <= g.alpha_zero <= g.alpha_max < math.pi / 2.0
 
     @pytest.mark.parametrize("rho", [1.0, 3.0, 0.5, 3.5, float("nan")])
     def test_domain(self, rho):
@@ -53,21 +68,11 @@ class TestRhoGeometry:
             rho_geometry(rho)
 
     def test_ratios_within_ulps_of_one_raise_domain_error(self):
-        # cos(alpha_zero) rounds above 1 for a quarter of these ratios, and
-        # alpha_min rounds to 0 for another half
-        with pytest.raises(DomainError, match="too close to 1"):
-            rho_geometry(1.0000000000000002)
-        with pytest.raises(DomainError, match="alpha_min rounds to 0"):
-            rho_geometry(1.0000000000000004)
-        rejected = 0
+        # every ratio below RHO_MIN is rejected, the ones whose cos(alpha_zero)
+        # rounds above 1 or whose alpha_min rounds to 0 included
         for k in range(1, 20_000):
-            try:
-                g = rho_geometry(1.0 + k * 2.0**-52)
-            except DomainError:
-                rejected += 1
-            else:
-                assert 0.0 < g.alpha_min <= g.alpha_zero <= g.alpha_max
-        assert rejected == 14_999
+            with pytest.raises(DomainError, match="too close to 1"):
+                rho_geometry(1.0 + k * 2.0**-52)
 
 
 class TestCapRadiusCos:

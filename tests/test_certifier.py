@@ -33,6 +33,7 @@ from kissbound._kernels import (
 )
 from kissbound import _kernels
 from kissbound import certifier as certifier_module
+from kissbound.caps import RHO_MIN
 from kissbound.certifier import _Checkpoint, _GridScan, _emit, _parse
 
 import mp_oracle
@@ -104,11 +105,11 @@ class TestBoxAngleUpper:
         with pytest.raises(DomainError):
             box_angle_upper(GEOM, Box(0.01, 0.3, 0.3, 0.01), "x")
 
-    @pytest.mark.parametrize("rho", [1.001, 1.05, 1.3, 1.755, 1.95, 2.0, 2.5, 2.9])
+    @pytest.mark.parametrize("rho", [RHO_MIN, 1.001, 1.05, 1.3, 1.755, 1.95, 2.0, 2.5, 2.9])
     def test_scan_arguments_stay_below_one(self, monkeypatch, rho):
-        # every law-of-cosines argument of these scans stays below 1, so
-        # _angle_upper's guard, which rounding trips below rho = 1 + 5e-6,
-        # is not what bounds them; rho 1.001's grid takes 400 steps
+        # every law-of-cosines argument of these scans stays below 1, so the
+        # clip at 1 repairs none of them; RHO_MIN is the worst ratio
+        # rho_geometry accepts, and its grid and rho 1.001's take 400 steps
         largest = []
         angle_arg = _kernels._angle_arg
 
@@ -139,15 +140,16 @@ class TestBoxAngleUpper:
             ),
         ],
     )
-    def test_rounded_argument_past_guard_gives_pi(self, box):
+    def test_ratio_whose_arguments_round_past_one_is_rejected(self, box):
         # at rho = 1 + 3e-8 the sides are tiny and the law of cosines rounds
         # this corner's argument past 1 + ANGLE_GUARD, though its true angle
-        # is positive: the bound must be pi, not the clip's arccos(1) = 0
-        geom = rho_geometry(1.0 + 3e-8)
+        # is positive: the clip would give arccos(1) = 0, so the ratio has no
+        # geometry
         corner = [np.float64(v) for v in (box.a, box.b + box.delta, box.c + box.delta)]
         assert triangle_args_vec(*corner)[0] > 1.0 + _kernels.ANGLE_GUARD
         assert mp_oracle.vertex_angle(*corner) > 0.0
-        assert box_angle_upper(geom, box, "x") == math.pi
+        with pytest.raises(DomainError, match="too close to 1"):
+            rho_geometry(1.0 + 3e-8)
 
     @pytest.mark.parametrize("side", [math.nan, 0.0, -0.01])
     def test_side_not_positive_rejected(self, side):
@@ -649,9 +651,10 @@ class TestCertificateIO:
             ("boxes_checked: ", "boxes_checked: 0"),
             ("delta: 0.01", "delta: 0.010"),
             ("rho: ", "rho:"),
+            ("passed: true\n", ""),
         ],
         ids=["repeated", "unknown", "nan", "underscore", "plus", "leading_zero",
-             "trailing_zero", "no_space"],
+             "trailing_zero", "no_space", "missing"],
     )
     def test_parse_rejects_what_emit_never_writes(self, old, new):
         text = emit_certificate(certify(RHO, 0.01, 14.9, workers=1))

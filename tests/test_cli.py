@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -421,6 +422,17 @@ class TestCertify:
         assert "No space left on device" in err and "Traceback" not in err
         assert out_path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cert.txt", "cert.txt.meta.json"]
+
+    def test_progress_goes_to_stderr_and_keeps_the_certificate(self, capsys, tmp_path):
+        paths = [tmp_path / "plain.txt", tmp_path / "progress.txt"]
+        argv = ["certify", "--rho", "1.755", "--delta", "0.01", "--target", "20",
+                "--workers", "1"]
+        code, _, err = run(capsys, *argv, "--output", str(paths[0]))
+        assert code == 0 and err == ""
+        code, _, err = run(capsys, *argv, "--output", str(paths[1]), "--progress")
+        assert code == 0
+        assert re.search(r"^# scanned \d+/98770 boxes \(\d+\.\d%\)$", err, re.MULTILINE)
+        assert paths[1].read_bytes() == paths[0].read_bytes()
 
     def test_fail_exit_one(self, capsys, tmp_path):
         out_path = str(tmp_path / "cert.txt")

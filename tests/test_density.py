@@ -467,6 +467,15 @@ class TestPruning:
             assert pruning_objective(crossing - 1e-4 if crossing == lo else crossing + 1e-4) >= 14.0
             assert pruning_objective(crossing + 1e-4 if crossing == lo else crossing - 1e-4) < 14.0
 
+    @pytest.mark.parametrize(
+        "threshold, message",
+        [(5.0, "never drops below"), (1e6, "not interior to the scan range")],
+    )
+    def test_threshold_without_an_interior_interval_raises(self, threshold, message):
+        # the objective stays above 5 everywhere, and below 1e6 at both ends
+        with pytest.raises(DomainError, match=message):
+            pruning_interval(threshold)
+
 
 # max_density at grid step 0.15 as the search gave it on lane-major (S, 4, 3)
 # simplices, before its iterations were made cheaper: (case, max_density,
